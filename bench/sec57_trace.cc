@@ -5,17 +5,17 @@
  * Two trace-off-vs-trace-on comparisons, one per event-path layer the
  * observability substrate instruments:
  *
- *  - Coalesced publish: the sec56 coalescer harness with the run cap
- *    pinned at 64, plus the monitor's per-event trace work replicated
+ *  - Coalesced publish: a PublishCoalescer over one ring with the run
+ *    cap fixed at 64, plus the monitor's per-event trace work replicated
  *    at the same cadence — the enabled() guard and sampled() lag mark
  *    on every add, a dwell histogram sample and CoalesceFlush stamp
  *    per 64-event run, and the follower-side lag match + dispatch
  *    stamp in the consumer. Toggling `ControlBlock::trace.enabled`
  *    is the only difference between the rows.
  *
- *  - Wire shipping: the sec56 socketpair harness (Shipper ->
- *    Receiver, remote follower draining the re-materialized ring)
- *    with the ship batch pinned at 64. The shipper and receiver carry
+ *  - Wire shipping: a socketpair harness (Shipper -> Receiver,
+ *    remote follower draining the re-materialized ring) with the ship
+ *    batch fixed at 64. The shipper and receiver carry
  *    their own stamp sites (ShipperDrain, ReceiverPublish, the
  *    credit-stall histogram), all guarded by the same live switch, so
  *    the rows differ only in `trace.enabled` on both regions.
@@ -49,7 +49,7 @@ using namespace varan::bench;
 namespace {
 
 constexpr std::uint32_t kRingCapacity = 1024;
-constexpr std::uint64_t kRunCap = 64; ///< pinned coalesce run / ship batch
+constexpr std::uint64_t kRunCap = 64; ///< fixed coalesce run / ship batch
 
 struct Node {
     shmem::Region region;

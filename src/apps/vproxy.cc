@@ -1,5 +1,6 @@
 #include "apps/vproxy.h"
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -19,9 +20,11 @@ struct Client {
     std::string inbuf;
 };
 
-/** Worker process: accept + serve until /__shutdown, then signal. */
+/** Worker process: accept + serve until /__shutdown (then tell the
+ *  master) or until the master's stop pipe turns readable. */
 int
-workerMain(int listen_fd, int shutdown_wr, std::size_t page_bytes)
+workerMain(int listen_fd, int shutdown_wr, int stop_rd,
+           std::size_t page_bytes)
 {
     netio::EventLoop loop;
     if (!loop.valid())
@@ -74,10 +77,11 @@ workerMain(int listen_fd, int shutdown_wr, std::size_t page_bytes)
         };
     };
 
+    loop.add(stop_rd, EPOLLIN, [&](std::uint32_t) { loop.stop(); });
     loop.add(listen_fd, EPOLLIN, [&](std::uint32_t) {
         long fd = netio::acceptConnection(listen_fd, false);
         if (fd < 0)
-            return; // another worker won the race
+            return; // EAGAIN: another worker won the race
         clients[static_cast<int>(fd)] = Client{};
         loop.add(static_cast<int>(fd), EPOLLIN,
                  on_client(static_cast<int>(fd)));
@@ -98,11 +102,23 @@ serve(const Options &options)
     if (!listen.ok())
         return 65;
     const int listen_fd = listen.value();
+    // Every worker polls this one socket, and all of them wake for each
+    // connection. The losers of the accept race must see EAGAIN rather
+    // than block in accept4 while their accepted clients go unserved.
+    if (sys::vfcntl(listen_fd, F_SETFL, O_NONBLOCK) < 0)
+        return 65;
 
     // Workers announce shutdown over this pipe (streamed syscalls, so
     // every variant's master reacts at the same stream position).
     int shutdown_pipe[2];
     if (sys::vpipe2(shutdown_pipe, 0) < 0)
+        return 67;
+    // The master ends the workers through this one: once it is
+    // readable, every worker leaves its loop and exits on its own. A
+    // signal would kill a worker at an arbitrary point of its stream,
+    // which a follower's replica cannot replay.
+    int stop_pipe[2];
+    if (sys::vpipe2(stop_pipe, 0) < 0)
         return 67;
 
     std::vector<pid_t> workers;
@@ -112,23 +128,24 @@ serve(const Options &options)
             return 68;
         if (pid == 0) {
             int status = workerMain(listen_fd, shutdown_pipe[1],
-                                    options.page_bytes);
+                                    stop_pipe[0], options.page_bytes);
             sys::vexit(status);
         }
         workers.push_back(static_cast<pid_t>(pid));
     }
 
     // Master parks on the shutdown pipe (a blocking read through the
-    // engine), then asks the kernel to end the other workers. kill()
-    // is process-local: each variant signals its own children.
+    // engine), stops every worker, and reaps its own children (waitpid
+    // is process-local: each variant waits for its own).
     char byte = 0;
     sys::vread(shutdown_pipe[0], &byte, 1);
-    for (pid_t pid : workers)
-        ::kill(pid, SIGTERM);
+    sys::vwrite(stop_pipe[1], &byte, 1);
     for (pid_t pid : workers) {
         int status = 0;
         ::waitpid(pid, &status, 0);
     }
+    sys::vclose(stop_pipe[0]);
+    sys::vclose(stop_pipe[1]);
     sys::vclose(shutdown_pipe[0]);
     sys::vclose(shutdown_pipe[1]);
     sys::vclose(listen_fd);

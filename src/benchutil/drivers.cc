@@ -1,5 +1,6 @@
 #include "benchutil/drivers.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -198,6 +199,10 @@ cacheBench(const std::string &endpoint, int clients, int initial_pairs,
         sys::vclose(fd);
     }
 
+    // Each client works its own slice of the loaded keys, as kvBench
+    // does: two clients (served by two vcache workers) racing on one
+    // key would order their updates differently in every variant.
+    const int slice = std::max(1, initial_pairs / std::max(1, clients));
     std::vector<WorkerTally> tallies(clients);
     std::uint64_t t0 = monotonicNs();
     std::vector<std::thread> threads;
@@ -212,7 +217,7 @@ cacheBench(const std::string &endpoint, int clients, int initial_pairs,
             int fd = conn.value();
             for (int i = 0; i < ops_per_client; ++i) {
                 std::string key =
-                    "load:" + std::to_string((c * 7919 + i * 13) % 1000);
+                    "load:" + std::to_string(c * slice + (i * 13) % slice);
                 std::string req;
                 const char *term;
                 if (i % 10 == 0) {

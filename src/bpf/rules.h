@@ -83,14 +83,14 @@ class RuleSet
     /** Run the rules over a divergence context. */
     RuleDecision evaluate(const FilterContext &ctx) const;
 
-    // --- hot-rule detection (feeds the adaptive event path) ----------
+    // --- hot-rule detection -----------------------------------------
     //
     // evaluate() keeps per-rule heat counters: how often each filter
     // ran, and how often its verdict decided the divergence. The
     // counters never change rule order — first-match semantics are
     // sacrosanct — they only make the interpretation cost visible so
-    // the adaptive layer (and operators reading logs) can see which
-    // divergence pattern dominates a run.
+    // operators reading logs can see which divergence pattern
+    // dominates a run.
 
     /** Heat counters for rule @p index (insertion order). */
     RuleHeat heat(std::size_t index) const;

@@ -95,6 +95,7 @@ EngineLayout::create(shmem::Region *region, std::uint32_t num_variants,
     // Publish the attach anchors last: an out-of-process inspector
     // that observes the magic can trust everything carved above.
     cb->pool_header_off = layout.pool_header;
+    cb->block_size = sizeof(ControlBlock);
     cb->magic.store(kControlMagic, std::memory_order_release);
     return layout;
 }
@@ -112,8 +113,10 @@ EngineLayout::attach(const shmem::Region *region)
     EngineLayout layout;
     layout.control = kCacheLineSize;
     const ControlBlock *cb = layout.controlBlock(region);
-    if (cb->magic.load(std::memory_order_acquire) != kControlMagic)
+    if (cb->magic.load(std::memory_order_acquire) != kControlMagic ||
+        cb->block_size != sizeof(ControlBlock)) {
         return Errno{EINVAL};
+    }
     if (cb->pool_header_off == 0 || cb->pool_header_off >= region->size())
         return Errno{EINVAL};
     layout.pool_header = cb->pool_header_off;

@@ -99,7 +99,10 @@ struct ControlBlock {
     std::atomic<std::uint32_t> magic;
     std::uint32_t num_variants;
     std::uint32_t ring_capacity;
-    std::uint32_t reserved0;
+    /** sizeof(ControlBlock) in the build that created the region. The
+     *  magic alone cannot tell two layouts apart, so attach() rejects
+     *  a region whose block size differs from its own. */
+    std::uint32_t block_size;
     /** Pool-header offset, persisted so EngineLayout::attach() can
      *  reconstruct the layout from the region alone. */
     shmem::Offset pool_header_off;
@@ -139,9 +142,9 @@ struct ControlBlock {
     std::atomic<std::uint64_t> rr_bytes_written;
     std::atomic<std::uint64_t> rr_spill_peak;  ///< spill-buffer high water
 
-    /** Live event-path knobs + adaptive-controller statistics. Every
-     *  knob consumer (shipper, coalescer, monitor) re-reads from here
-     *  at batch boundaries instead of caching config at startup. */
+    /** Live event-path knobs. Every knob consumer (shipper, coalescer,
+     *  monitor) re-reads from here at batch boundaries instead of
+     *  caching config at startup. */
     TuningBlock tuning;
 
     /** Flight recorder, latency histograms, divergence ledger. Lives
@@ -153,9 +156,6 @@ struct ControlBlock {
     TupleSlot tuples[kMaxTuples];
     ring::ClockState clocks[kMaxVariants]; ///< per-variant Lamport clocks
 };
-
-static_assert(kTuningLagSlots == kMaxTuples,
-              "one lag EWMA slot per tuple");
 
 /** Offsets of the carved structures inside the Region. */
 struct EngineLayout {
@@ -178,7 +178,8 @@ struct EngineLayout {
      * Reconstruct the layout of an engine region created elsewhere
      * (another process, via `Region::fromFd`). Validates the control
      * magic; fails with EINVAL when the mapping is not an initialised
-     * engine region. The basis: `create()` always carves the
+     * engine region, or one created by a build whose ControlBlock
+     * layout differs. The basis: `create()` always carves the
      * ControlBlock first, so it sits at the first carve offset.
      */
     static Result<EngineLayout> attach(const shmem::Region *region);

@@ -14,10 +14,6 @@
 
 namespace varan::core {
 
-static_assert(kSyscallStatsSlots ==
-                  static_cast<std::uint32_t>(sys::kMaxSyscallNr),
-              "shared syscall-mix histogram covers the whole table");
-
 namespace {
 
 Monitor *g_monitor = nullptr;
@@ -287,13 +283,6 @@ Monitor::dispatch(long nr, const std::uint64_t args[6])
     cb_->variants[config_.variant_id].syscalls.fetch_add(
         1, std::memory_order_relaxed);
 
-    // Hottest payload-free calls skip the classification branching
-    // below entirely (adaptive top-k fast path; off until the
-    // FastpathTopK knob goes non-zero).
-    long fast_result = 0;
-    if (tryFastPath(nr, args, &fast_result))
-        return fast_result;
-
     switch (info.cls) {
       case sys::SyscallClass::Local:
         // A pending coalesced run must not be held across a local call
@@ -461,14 +450,6 @@ Monitor::coalesceBarrier(int tuple, const sys::SyscallInfo &info)
 }
 
 void
-Monitor::recordSyscallMix(long nr)
-{
-    if (nr >= 0 && nr < static_cast<long>(kSyscallStatsSlots)) {
-        cb_->tuning.sys_hist[nr].fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-void
 Monitor::coalesceAdd(int tuple, ring::Event &event)
 {
     std::lock_guard<std::mutex> guard(coalesce_mutex_[tuple]);
@@ -497,74 +478,6 @@ Monitor::coalesceAdd(int tuple, ring::Event &event)
     // holding the run back would trade its latency for nothing.
     if (rings_[tuple].consumersWaiting() > 0)
         flushCoalesced(tuple);
-}
-
-bool
-Monitor::tryFastPath(long nr, const std::uint64_t args[6], long *result_out)
-{
-    const auto top_k = static_cast<std::uint32_t>(
-        liveKnob(cb_->tuning, Knob::FastpathTopK));
-    if (top_k == 0 || !isLeader())
-        return false;
-    if (nr < 0 || nr >= sys::kMaxSyscallNr)
-        return false;
-    // Membership scan of the shared hot table (slots hold nr + 1).
-    const std::uint32_t tag = static_cast<std::uint32_t>(nr) + 1;
-    bool hot = false;
-    for (std::uint32_t i = 0; i < top_k && i < kFastPathSlots; ++i) {
-        if (cb_->tuning.fastpath_nrs[i].load(std::memory_order_relaxed) ==
-            tag) {
-            hot = true;
-            break;
-        }
-    }
-    if (!hot)
-        return false;
-    std::int8_t ok = fastpath_ok_[nr];
-    if (ok == 0) {
-        ok = sys::fastpathEligible(nr) ? 1 : -1;
-        fastpath_ok_[nr] = ok;
-    }
-    if (ok < 0)
-        return false;
-
-    const int tuple = currentTuple();
-    const int slot = static_cast<int>(config_.variant_id);
-    // A promoted leader still draining its backlog replays, it does
-    // not record — same gate as the slow path.
-    if (rings_[tuple].consumerActive(slot)) {
-        if (rings_[tuple].lag(slot) > 0)
-            return false;
-        rings_[tuple].detachConsumer(slot);
-    }
-
-    recordSyscallMix(nr);
-    long result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
-                                  args[4], args[5]);
-    if (result == sys::kErestartsys) {
-        result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
-                                 args[4], args[5]);
-    }
-
-    ring::Event event = {};
-    event.type = ring::EventType::Syscall;
-    event.nr = static_cast<std::uint16_t>(nr);
-    event.result = result;
-    for (unsigned i = 0; i < ring::kInlineArgs; ++i)
-        event.args[i] = args[i];
-
-    cb_->tuning.fastpath_hits.fetch_add(1, std::memory_order_relaxed);
-    // Eligible calls are payload-free by construction, so the
-    // coalesced run is the natural sink when it is enabled (single
-    // live tuple only, as on the slow path).
-    if (config_.coalesce_publish &&
-        cb_->num_tuples.load(std::memory_order_acquire) == 1) {
-        coalesceAdd(tuple, event);
-    } else {
-        publishEvent(tuple, event, 0);
-    }
-    *result_out = result;
-    return true;
 }
 
 void
@@ -681,7 +594,6 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
     // A pending coalesced run must not sit behind a call that can wait
     // indefinitely, and a stale run (leader went quiet) ships now.
     coalesceBarrier(tuple, info);
-    recordSyscallMix(nr);
 
     long result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
                                   args[4], args[5]);

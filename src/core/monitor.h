@@ -127,21 +127,6 @@ class Monitor : public sys::Dispatcher
     long dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                           const sys::SyscallInfo &info);
 
-    /**
-     * The adaptive top-k fast path (leader only): a syscall currently
-     * in the shared hot table whose semantics permit it (Replicated,
-     * payload-free, non-blocking, unhashed — see sys::fastpathEligible)
-     * executes and publishes here, skipping full classification
-     * branching, payload assembly and hash bookkeeping. @return true
-     * if handled, with the syscall result in @p result_out.
-     */
-    bool tryFastPath(long nr, const std::uint64_t args[6],
-                     long *result_out);
-
-    /** Bump the shared leader syscall-mix histogram (adapt sampler
-     *  input). */
-    void recordSyscallMix(long nr);
-
     /** Append a stamped payload-free event to tuple's pending
      *  coalesced run (flushing when the live run cap is reached, and
      *  immediately when a follower is asleep). */
@@ -253,10 +238,6 @@ class Monitor : public sys::Dispatcher
      *  histogram sample. Reuses the timestamp coalesceAdd already
      *  takes, so the dwell measurement is free on the hot path. */
     std::uint64_t coalesce_first_ns_[kMaxTuples] = {};
-
-    /** Per-nr fast-path eligibility, cached on first use
-     *  (0 = unknown, 1 = eligible, -1 = not). */
-    std::int8_t fastpath_ok_[sys::kMaxSyscallNr] = {};
 
     // --- follower-side peek batching: a read-ahead of peeked, not yet
     //     advanced events. Slots stay claimed (and pool payloads

@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "adapt/autotuner.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "netio/socketio.h"
@@ -222,33 +221,6 @@ Nvx::start(const std::function<void(Nvx &)> &pre_spawn)
     }
 
     started_ = true;
-
-    // Adaptive controller: retunes the unpinned knobs online from the
-    // sampled syscall mix, ring occupancy and (when shipping) the wire
-    // drain statistics. Started after the spawn acks so its first
-    // baseline tick sees a running engine.
-    if (config_.adapt.enabled) {
-        adapt::AutoTuner::Options opts;
-        opts.tick_ns = config_.adapt.tick_ns;
-        opts.controller.hysteresis = config_.adapt.hysteresis;
-        opts.controller.settle_ticks = config_.adapt.settle_ticks;
-        adapt::Sampler::WireSource wire_source;
-        if (shipper_) {
-            wire::Shipper *shipper = shipper_.get();
-            wire_source = [shipper] {
-                adapt::WireSample w;
-                const auto stats = shipper->stats();
-                w.active = true;
-                w.events = stats.events;
-                w.drain_passes = stats.drain_passes;
-                w.credit_stalls = stats.credit_stalls;
-                return w;
-            };
-        }
-        autotuner_ = std::make_unique<adapt::AutoTuner>(
-            &region_, &layout_, opts, std::move(wire_source));
-        autotuner_->start();
-    }
 
     monitor_thread_ = std::thread([this] { monitorLoop(); });
     return Status::ok();
@@ -721,8 +693,6 @@ Nvx::wait()
         monitor_thread_.join();
     finished_ = true;
     shutdownZygote();
-    if (autotuner_)
-        autotuner_->stop(); // no retuning during the drain
     if (shipper_)
         shipper_->finish(); // drain the ring tails, send Bye
     return results_;
@@ -752,8 +722,6 @@ Nvx::waitFor(std::uint64_t timeout_ns)
     if (monitor_thread_.joinable())
         monitor_thread_.join();
     finished_ = true;
-    if (autotuner_)
-        autotuner_->stop();
     if (shipper_)
         shipper_->finish();
     for (std::uint32_t v = 0; v < num_variants_; ++v) {

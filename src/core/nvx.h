@@ -62,10 +62,6 @@ namespace varan::wire {
 class Shipper;
 }
 
-namespace varan::adapt {
-class AutoTuner;
-}
-
 namespace varan::core {
 
 /** A variant's application entry point ("main"). */
@@ -277,14 +273,8 @@ struct EngineConfig {
      * TuningBlock at start(); after that the values live in shared
      * memory — retune them at runtime through Nvx::tuning() without
      * restarting anything.
-     *
      */
     Tuning tuning;
-
-    /** The adaptive controller (src/adapt/). When enabled, an
-     *  AutoTuner thread retunes the unpinned knobs online from the
-     *  sampled syscall mix, ring occupancy and wire statistics. */
-    AdaptConfig adapt;
 
     /**
      * The observability layer (src/trace/): flight recorder, latency
@@ -389,8 +379,7 @@ class Nvx
 
     /** status() rendered as a Prometheus-style text metrics page
      *  (core::statusText): ready for a /metrics scrape, a log line, or
-     *  an operator's eyeball. Includes the live knob values and the
-     *  adaptive controller's sample/decision counters. */
+     *  an operator's eyeball. Includes the live knob values. */
     std::string statusText() const;
 
     /**
@@ -398,9 +387,7 @@ class Nvx
      * straight into the shared TuningBlock: the publish coalescer, the
      * flusher and the wire shipper re-read the knobs at batch
      * boundaries, so a change takes effect within one batch — no
-     * restart, no reconnect. set() pins the knob by default so the
-     * adaptive controller (EngineConfig::adapt) never fights a manual
-     * override; unpin() hands it back.
+     * restart, no reconnect.
      */
     TuningHandle tuning() const;
 
@@ -478,8 +465,6 @@ class Nvx
     std::atomic<bool> status_stop_{false};
     /** Multi-node event shipping (EngineConfig::remote). */
     std::unique_ptr<wire::Shipper> shipper_;
-    /** Adaptive knob controller (EngineConfig::adapt). */
-    std::unique_ptr<adapt::AutoTuner> autotuner_;
 };
 
 /**
@@ -595,22 +580,6 @@ class Nvx::Builder
     tuning(Tuning initial)
     {
         config_.tuning = initial;
-        return *this;
-    }
-
-    /** Enable/configure the adaptive controller. */
-    Builder &
-    adapt(AdaptConfig adapt_config)
-    {
-        config_.adapt = adapt_config;
-        return *this;
-    }
-
-    /** Shorthand: turn the adaptive controller on with defaults. */
-    Builder &
-    adaptive(bool on = true)
-    {
-        config_.adapt.enabled = on;
         return *this;
     }
 

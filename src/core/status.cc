@@ -84,30 +84,14 @@ collectStatus(const shmem::Region *region, const EngineLayout &layout)
         cb->rr_spill_peak.load(std::memory_order_relaxed);
 
     const TuningBlock &tuning = cb->tuning;
-    report.adapt.active =
-        tuning.adapt_active.load(std::memory_order_acquire);
-    report.adapt.pinned_mask =
-        tuning.pinned_mask.load(std::memory_order_acquire);
-    report.adapt.samples =
-        tuning.adapt_samples.load(std::memory_order_relaxed);
-    report.adapt.decisions =
-        tuning.adapt_decisions.load(std::memory_order_relaxed);
-    report.adapt.fastpath_hits =
-        tuning.fastpath_hits.load(std::memory_order_relaxed);
-    report.adapt.ship_batch =
+    report.tuning.ship_batch =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::ShipBatch));
-    report.adapt.credit_window =
+    report.tuning.credit_window =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::CreditWindow));
-    report.adapt.coalesce_run =
+    report.tuning.coalesce_run =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::CoalesceRun));
-    report.adapt.fastpath_top_k =
-        static_cast<std::uint32_t>(liveKnob(tuning, Knob::FastpathTopK));
-    report.adapt.coalesce_window_ns =
+    report.tuning.coalesce_window_ns =
         liveKnob(tuning, Knob::CoalesceWindowNs);
-    for (std::uint32_t i = 0; i < kFastPathSlots; ++i) {
-        report.adapt.fastpath_nrs[i] =
-            tuning.fastpath_nrs[i].load(std::memory_order_relaxed);
-    }
 
     const trace::TraceBlock &tb = cb->trace;
     report.trace.enabled = tb.enabled.load(std::memory_order_relaxed);
@@ -358,34 +342,18 @@ statusText(const StatusReport &report)
     metric(out, "varan_recorder_events_total", "counter",
            "Records drained by the rr sink", report.recorder.events);
 
-    // Live tuning + adaptive controller.
-    metric(out, "varan_adapt_active", "gauge",
-           "An AutoTuner thread is running", report.adapt.active);
-    metric(out, "varan_adapt_samples_total", "counter",
-           "Controller sampling ticks taken", report.adapt.samples);
-    metric(out, "varan_adapt_decisions_total", "counter",
-           "Knob adjustments applied by the controller",
-           report.adapt.decisions);
-    metric(out, "varan_adapt_pinned_mask", "gauge",
-           "Bitmask of knobs pinned against adaptation",
-           report.adapt.pinned_mask);
-    metric(out, "varan_fastpath_hits_total", "counter",
-           "Leader dispatches taken by the top-k fast path",
-           report.adapt.fastpath_hits);
+    // Live tuning knobs.
     metric(out, "varan_tuning_ship_batch", "gauge",
            "Live ship batch (events per wire frame)",
-           report.adapt.ship_batch);
+           report.tuning.ship_batch);
     metric(out, "varan_tuning_credit_window", "gauge",
            "Live credit window (unacked events per tuple per peer)",
-           report.adapt.credit_window);
+           report.tuning.credit_window);
     metric(out, "varan_tuning_coalesce_run", "gauge",
-           "Live publish-coalescing run cap", report.adapt.coalesce_run);
+           "Live publish-coalescing run cap", report.tuning.coalesce_run);
     metric(out, "varan_tuning_coalesce_window_ns", "gauge",
            "Live coalesce staleness window (ns)",
-           report.adapt.coalesce_window_ns);
-    metric(out, "varan_tuning_fastpath_top_k", "gauge",
-           "Live hot-syscall fast-path width (0 = off)",
-           report.adapt.fastpath_top_k);
+           report.tuning.coalesce_window_ns);
 
     // Observability: flight recorder, latency histograms, divergence
     // ledger. Every metric name added here must be documented in

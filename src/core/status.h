@@ -107,25 +107,16 @@ struct RecorderStatus {
     std::uint64_t spill_peak;  ///< spill-buffer high-water mark (bytes)
 };
 
-/** Live tuning knobs + adaptive-controller state (src/adapt/): the
- *  values in force right now, and what the controller did to them.
- *  Mirrored straight from the shared TuningBlock, so a knob retuned
- *  mid-run is visible in the very next StatusReport — local or served
- *  over the wire. */
-struct AdaptStatus {
-    std::uint32_t active;       ///< an AutoTuner thread is running
-    std::uint32_t pinned_mask;  ///< knobs excluded from adaptation
-    std::uint64_t samples;      ///< controller ticks taken
-    std::uint64_t decisions;    ///< knob adjustments applied
-    std::uint64_t fastpath_hits; ///< leader fast-path dispatches
-    // The live knob values (core::Tuning mirror).
+/** The live tuning knobs in force right now (core::Tuning mirror).
+ *  Read straight from the shared TuningBlock, so a knob retuned mid-run
+ *  is visible in the very next StatusReport — local or served over the
+ *  wire. */
+struct TuningStatus {
     std::uint32_t ship_batch;
     std::uint32_t credit_window;
     std::uint32_t coalesce_run;
-    std::uint32_t fastpath_top_k;
+    std::uint32_t reserved;
     std::uint64_t coalesce_window_ns;
-    /** The hot table behind the top-k fast path (nr + 1; 0 = empty). */
-    std::uint32_t fastpath_nrs[kFastPathSlots];
 };
 
 /** One log2-bucket latency histogram, snapshotted from the shared
@@ -181,7 +172,7 @@ struct StatusReport {
     ReceiverWireStatus receiver;
     QuorumStatus quorum;             ///< lease/membership control plane
     RecorderStatus recorder;
-    AdaptStatus adapt;               ///< live knobs + controller state
+    TuningStatus tuning;             ///< live knob values
     TraceStatus trace;               ///< histograms + divergence ledger
 };
 

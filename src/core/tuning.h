@@ -2,21 +2,18 @@
  * @file
  * The unified live tuning surface of the event path.
  *
- * Every fast-path parameter that used to be a static config field —
+ * Every event-path parameter that used to be a static config field —
  * ship batch, credit window, coalesce run length, coalesce staleness
- * window, the top-k syscall fast path width — is one Knob backed by an
- * atomic slot in the shared region (TuningBlock, embedded in the
- * ControlBlock). Consumers re-read the live value at batch boundaries
- * instead of caching it at construction, so a knob turned mid-run —
- * by an operator through Nvx::tuning(), or by the adaptive controller
- * in src/adapt/ — takes effect without restarting anything: not the
+ * window — is one Knob backed by an atomic slot in the shared region
+ * (TuningBlock, embedded in the ControlBlock). Consumers re-read the
+ * live value at batch boundaries instead of caching it at
+ * construction, so a knob an operator turns mid-run through
+ * Nvx::tuning() takes effect without restarting anything: not the
  * engine, not a reconnecting peer, not a promoted shipper.
  *
  * Every knob has a hard floor and ceiling (kKnobRanges); readers clamp
  * on load, so a torn or hostile shared-memory value can never drive a
- * consumer out of its safe range. A knob set explicitly through
- * TuningHandle::set() is *pinned*: the adaptive controller leaves it
- * alone (see docs/TUNING.md).
+ * consumer out of its safe range (see docs/TUNING.md).
  *
  * Seeding is first-writer-wins (the seeded mask): the coordinator
  * seeds all knobs from EngineConfig at start; a component constructed
@@ -39,21 +36,9 @@ enum class Knob : std::uint32_t {
     CreditWindow = 1,     ///< max unacked events per tuple per peer
     CoalesceRun = 2,      ///< leader publish-coalescing run cap
     CoalesceWindowNs = 3, ///< coalesced-run staleness cap
-    FastpathTopK = 4,     ///< hot-syscall fast-path width (0 = off)
 };
 
-inline constexpr std::uint32_t kNumKnobs = 5;
-
-/** Shared fast-path table width (top-k hot syscalls). */
-inline constexpr std::uint32_t kFastPathSlots = 8;
-
-/** Per-syscall histogram size; must equal sys::kMaxSyscallNr (the
- *  syscalls layer sits above this header, so the equality is asserted
- *  where both are visible). */
-inline constexpr std::uint32_t kSyscallStatsSlots = 512;
-
-/** lag_ewma slots; must equal kMaxTuples (asserted in layout.h). */
-inline constexpr std::uint32_t kTuningLagSlots = 16;
+inline constexpr std::uint32_t kNumKnobs = 4;
 
 /** Hard floor/ceiling per knob; every read clamps into this range. */
 struct KnobRange {
@@ -66,7 +51,6 @@ inline constexpr KnobRange kKnobRanges[kNumKnobs] = {
     {64, 1u << 20},        // CreditWindow
     {1, 64},               // CoalesceRun (== ring::PublishCoalescer::kMaxPending)
     {10000, 100000000},    // CoalesceWindowNs [10 µs, 100 ms]
-    {0, kFastPathSlots},   // FastpathTopK
 };
 
 /**
@@ -79,45 +63,17 @@ struct Tuning {
     std::uint32_t credit_window = 4096;
     std::uint32_t coalesce_run = 16;
     std::uint64_t coalesce_window_ns = 200000;
-    std::uint32_t fastpath_top_k = 0;
-};
-
-/** Adaptive-controller configuration (EngineConfig::adapt). */
-struct AdaptConfig {
-    bool enabled = false;          ///< run the AutoTuner thread
-    std::uint64_t tick_ns = 10000000; ///< sample/decide cadence (10 ms)
-    double hysteresis = 0.10;      ///< dead band around "no change"
-    std::uint32_t settle_ticks = 2; ///< ticks between decisions per knob
 };
 
 /**
- * The shared-memory home of the live values plus the statistics the
- * adaptive controller feeds on. Lives inside the ControlBlock;
- * value-initialised to zero with the rest of it, then given defaults
- * by EngineLayout::create (without marking anything seeded).
+ * The shared-memory home of the live values. Lives inside the
+ * ControlBlock; value-initialised to zero with the rest of it, then
+ * given defaults by EngineLayout::create (without marking anything
+ * seeded).
  */
 struct TuningBlock {
     std::atomic<std::uint64_t> values[kNumKnobs];
     std::atomic<std::uint32_t> seeded_mask; ///< knob has an explicit value
-    std::atomic<std::uint32_t> pinned_mask; ///< knob excluded from adaptation
-
-    // Adaptive-controller bookkeeping (surfaced via StatusReport).
-    std::atomic<std::uint32_t> adapt_active;
-    std::atomic<std::uint64_t> adapt_samples;   ///< controller ticks taken
-    std::atomic<std::uint64_t> adapt_decisions; ///< knob adjustments applied
-
-    /** Top-k hot-syscall table: each slot holds nr + 1 (0 = empty).
-     *  Only the first FastpathTopK slots are consulted. */
-    std::atomic<std::uint32_t> fastpath_nrs[kFastPathSlots];
-    std::atomic<std::uint64_t> fastpath_hits;
-
-    /** Per-tuple ring-lag EWMA (16.16 fixed point, in events), written
-     *  by the adapt sampler at tick granularity. */
-    std::atomic<std::uint64_t> lag_ewma[kTuningLagSlots];
-
-    /** Leader syscall-mix histogram: one relaxed counter per nr,
-     *  bumped on the leader's event path. */
-    std::atomic<std::uint64_t> sys_hist[kSyscallStatsSlots];
 };
 
 inline std::uint64_t
@@ -154,8 +110,6 @@ initTuningDefaults(TuningBlock &block)
         defaults.coalesce_run, std::memory_order_relaxed);
     block.values[static_cast<std::uint32_t>(Knob::CoalesceWindowNs)].store(
         defaults.coalesce_window_ns, std::memory_order_relaxed);
-    block.values[static_cast<std::uint32_t>(Knob::FastpathTopK)].store(
-        defaults.fastpath_top_k, std::memory_order_relaxed);
 }
 
 /**
@@ -181,25 +135,12 @@ seedTuning(TuningBlock &block, const Tuning &tuning)
     seedKnob(block, Knob::CreditWindow, tuning.credit_window);
     seedKnob(block, Knob::CoalesceRun, tuning.coalesce_run);
     seedKnob(block, Knob::CoalesceWindowNs, tuning.coalesce_window_ns);
-    seedKnob(block, Knob::FastpathTopK, tuning.fastpath_top_k);
-}
-
-/** Controller-side write: updates the live value (clamped, marked
- *  seeded) without pinning — operator pins always win over this. */
-inline void
-applyKnob(TuningBlock &block, Knob knob, std::uint64_t value)
-{
-    block.values[static_cast<std::uint32_t>(knob)].store(
-        clampKnob(knob, value), std::memory_order_release);
-    block.seeded_mask.fetch_or(1u << static_cast<std::uint32_t>(knob),
-                               std::memory_order_acq_rel);
 }
 
 /**
  * The live tuning API handed out by Nvx::tuning(): get/set any knob
- * while the engine runs. set() pins the knob by default — an explicit
- * operator choice should not be fought by the adaptive controller;
- * pass pin = false (or unpin()) to hand it back.
+ * while the engine runs. A set value is clamped and marked seeded, so
+ * a component constructed later adopts it.
  */
 class TuningHandle
 {
@@ -212,39 +153,13 @@ class TuningHandle
     std::uint64_t get(Knob knob) const { return liveKnob(*block_, knob); }
 
     void
-    set(Knob knob, std::uint64_t value, bool pin = true)
+    set(Knob knob, std::uint64_t value)
     {
-        const std::uint32_t bit =
-            1u << static_cast<std::uint32_t>(knob);
         block_->values[static_cast<std::uint32_t>(knob)].store(
             clampKnob(knob, value), std::memory_order_release);
-        block_->seeded_mask.fetch_or(bit, std::memory_order_acq_rel);
-        if (pin)
-            block_->pinned_mask.fetch_or(bit, std::memory_order_acq_rel);
-    }
-
-    void
-    pin(Knob knob)
-    {
-        block_->pinned_mask.fetch_or(
+        block_->seeded_mask.fetch_or(
             1u << static_cast<std::uint32_t>(knob),
             std::memory_order_acq_rel);
-    }
-
-    void
-    unpin(Knob knob)
-    {
-        block_->pinned_mask.fetch_and(
-            ~(1u << static_cast<std::uint32_t>(knob)),
-            std::memory_order_acq_rel);
-    }
-
-    bool
-    pinned(Knob knob) const
-    {
-        return (block_->pinned_mask.load(std::memory_order_acquire) >>
-                static_cast<std::uint32_t>(knob)) &
-               1u;
     }
 
     /** Point-in-time snapshot of every live value. */
@@ -259,8 +174,6 @@ class TuningHandle
         t.coalesce_run =
             static_cast<std::uint32_t>(get(Knob::CoalesceRun));
         t.coalesce_window_ns = get(Knob::CoalesceWindowNs);
-        t.fastpath_top_k =
-            static_cast<std::uint32_t>(get(Knob::FastpathTopK));
         return t;
     }
 
@@ -291,13 +204,6 @@ class TuningHandle
         return get(Knob::CoalesceWindowNs);
     }
     void coalesceWindowNs(std::uint64_t v) { set(Knob::CoalesceWindowNs, v); }
-
-    std::uint32_t
-    fastpathTopK() const
-    {
-        return static_cast<std::uint32_t>(get(Knob::FastpathTopK));
-    }
-    void fastpathTopK(std::uint32_t v) { set(Knob::FastpathTopK, v); }
 
   private:
     TuningBlock *block_ = nullptr;

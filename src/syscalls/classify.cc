@@ -255,16 +255,4 @@ handledSyscallCount()
     return count;
 }
 
-bool
-fastpathEligible(long nr)
-{
-    // The divergence checker hashes these calls' IN buffers; taking
-    // the hash-free fast path for them would drop verification.
-    if (nr == SYS_write || nr == SYS_pwrite64 || nr == SYS_sendto)
-        return false;
-    const SyscallInfo &info = syscallInfo(nr);
-    return info.cls == SyscallClass::Replicated && info.out[0].arg < 0 &&
-           info.out[1].arg < 0 && info.fd_array_arg < 0 && !info.may_block;
-}
-
 } // namespace varan::sys

@@ -77,16 +77,6 @@ const SyscallInfo &syscallInfo(long nr);
 /** Number of system calls with a non-Unhandled classification. */
 std::size_t handledSyscallCount();
 
-/**
- * True if @p nr may take the adaptive top-k leader fast path: a
- * Replicated call with no OUT buffers, no descriptor side effects and
- * no blocking semantics, whose result is fully described by the event
- * word itself. Calls the divergence checker hashes from IN buffers
- * (write/pwrite64/sendto) are excluded — the fast path skips hashing,
- * and skipping it would silently weaken verification.
- */
-bool fastpathEligible(long nr);
-
 } // namespace varan::sys
 
 #endif // VARAN_SYSCALLS_CLASSIFY_H

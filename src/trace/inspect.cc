@@ -215,15 +215,10 @@ std::string
 renderTuning(const core::StatusReport &report)
 {
     std::string out;
-    appendf(out, "adaptive: %s, %" PRIu64 " sample(s), %" PRIu64
-                 " decision(s), pinned mask 0x%x\n",
-            report.adapt.active ? "on" : "off", report.adapt.samples,
-            report.adapt.decisions, report.adapt.pinned_mask);
     appendf(out, "ship_batch=%u credit_window=%u coalesce_run=%u "
-                 "coalesce_window_ns=%" PRIu64 " fastpath_top_k=%u\n",
-            report.adapt.ship_batch, report.adapt.credit_window,
-            report.adapt.coalesce_run, report.adapt.coalesce_window_ns,
-            report.adapt.fastpath_top_k);
+                 "coalesce_window_ns=%" PRIu64 "\n",
+            report.tuning.ship_batch, report.tuning.credit_window,
+            report.tuning.coalesce_run, report.tuning.coalesce_window_ns);
     return out;
 }
 

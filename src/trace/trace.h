@@ -187,7 +187,7 @@ struct LagPair {
  */
 struct TraceBlock {
     /** Live on/off switch (not a Tuning knob: flipping it must never
-     *  interact with seeding or the adaptive controller). */
+     *  interact with knob seeding). */
     std::atomic<std::uint32_t> enabled;
     std::uint32_t reserved0;
 

@@ -96,7 +96,10 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v6: the quorum control plane — Lease/Vote/Fence frames carry
+/** v7: the Status body's live-tuning section shrank to the four knob
+ *  values (TuningStatus): the adaptive-controller counters, the pin
+ *  mask and the top-k fast-path fields are gone.
+ *  v6: the quorum control plane — Lease/Vote/Fence frames carry
  *  lease-based leader election between receiver nodes, so promotion
  *  is gated on a quorum of the configured membership instead of a
  *  single hand-armed watchdog. The Status body grew the QuorumStatus
@@ -105,8 +108,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  (trace::DivergenceRecord) from a remote follower node back to the
  *  leader's coordinator, and the Status body grew the TraceStatus
  *  observability section (latency histograms + ledger tail).
- *  v4: the Status frame body (core::StatusReport) grew the live-tuning
- *  AdaptStatus section and extended shipper statistics, and the
+ *  v4: the Status frame body (core::StatusReport) grew a live-tuning
+ *  section and extended shipper statistics, and the
  *  shipper may broadcast unsolicited Status frames on a configured
  *  push interval (the receiver's decode path is unchanged — any
  *  non-empty Status frame updates its remote snapshot).
@@ -117,7 +120,13 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 6;
+inline constexpr std::uint16_t kProtocolVersion = 7;
+
+// The Status frame body is a raw StatusReport. A layout change must bump
+// kProtocolVersion and update docs/WIRE_PROTOCOL.md, then this size.
+static_assert(sizeof(core::StatusReport) == 2600,
+              "StatusReport layout changed: bump kProtocolVersion and "
+              "update the Status body size in docs/WIRE_PROTOCOL.md");
 
 /** Upper bound on a frame body; anything larger is corruption. */
 inline constexpr std::uint32_t kMaxBodyBytes = 16u << 20;

@@ -371,14 +371,23 @@ Shipper::flushOutbox(PeerSession &peer)
             if (errno == EINTR)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return;
+                break;
             dropPeerLink(peer);
             return;
         }
         peer.outbox_head += static_cast<std::size_t>(n);
     }
-    peer.outbox.clear();
-    peer.outbox_head = 0;
+    // Give the sent prefix back once it is at least as large as the
+    // unsent remainder. Each compaction moves no more bytes than were
+    // sent since the last one (amortised O(bytes)), and the outbox
+    // never holds more than twice its unsent bytes, even under a
+    // backpressure that never lets it drain completely.
+    if (peer.outbox_head >= peer.outbox.size() - peer.outbox_head) {
+        peer.outbox.erase(peer.outbox.begin(),
+                          peer.outbox.begin() +
+                              static_cast<std::ptrdiff_t>(peer.outbox_head));
+        peer.outbox_head = 0;
+    }
 }
 
 bool
@@ -410,6 +419,11 @@ Shipper::queueBytes(PeerSession &peer, const std::uint8_t *data,
             if (errno == EINTR)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
+                // Sized once for the cap: unsent bytes stay under it
+                // and compaction keeps the sent prefix smaller than
+                // them, so the buffer grows at most once more, to
+                // twice the cap.
+                peer.outbox.reserve(options_.outbox_limit);
                 peer.outbox.assign(data + written, data + len);
                 peer.outbox_head = 0;
                 return true;

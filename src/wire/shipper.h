@@ -74,8 +74,7 @@ class Shipper
          *  [1, kMaxShipBatch]. Seeds the live ShipBatch `Tuning` knob
          *  (first-seeder-wins); the value actually in force is re-read
          *  from the shared region at every batch boundary, so a live
-         *  retune — operator or adaptive controller — applies without
-         *  restart. */
+         *  retune applies without restart. */
         std::size_t ship_batch = 16;
         /** Max unacknowledged events per tuple *per peer* before that
          *  peer stops receiving new frames (bounds remote run-ahead).
@@ -92,7 +91,9 @@ class Shipper
          *  is full before new frames stop being queued to it). Soft by
          *  one frame: a frame whose direct send hits EAGAIN mid-write
          *  must park its remainder whole to preserve framing, so peak
-         *  usage is the cap plus one frame. */
+         *  unsent bytes are the cap plus one frame. The sent prefix is
+         *  compacted away, so the buffer itself stays within twice the
+         *  cap (for frames no larger than the cap). */
         std::size_t outbox_limit = 4u << 20;
         /** Pump tick while idle (ms). */
         int tick_ms = 20;

@@ -7,6 +7,9 @@
  * rewrite rules (section 5.2).
  */
 
+#include <cstdlib>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -298,6 +301,34 @@ TEST(ServeNativeTest, VproxyPreforkServes)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+/** One keep-alive GET on an open connection; false on error, EOF or a
+ *  response that does not arrive within the socket's receive timeout. */
+bool
+httpGetKeepAlive(int fd)
+{
+    const std::string request = "GET / HTTP/1.1\r\nHost: varan\r\n\r\n";
+    if (!netio::sendAll(fd, request.data(), request.size()).isOk())
+        return false;
+    auto head = netio::recvUntil(fd, "\r\n\r\n");
+    if (!head.ok())
+        return false;
+    const std::string &data = head.value();
+    const std::size_t header_end = data.find("\r\n\r\n");
+    const std::size_t cl = data.find("Content-Length: ");
+    if (header_end == std::string::npos || cl == std::string::npos)
+        return false;
+    const std::size_t body_len =
+        std::strtoul(data.c_str() + cl + 16, nullptr, 10);
+    std::size_t have = data.size() - (header_end + 4);
+    while (have < body_len) {
+        auto more = netio::recvSome(fd, body_len - have);
+        if (!more.ok() || more.value().empty())
+            return false;
+        have += more.value().size();
+    }
+    return true;
+}
+
 // --- servers under the NVX engine ---
 
 TEST(ServeNvxTest, VstoreWithTwoFollowers)
@@ -342,6 +373,61 @@ TEST(ServeNvxTest, VhttpdWithOneFollower)
     auto results = nvx.waitFor(30000000000ULL);
     for (const auto &r : results)
         EXPECT_FALSE(r.crashed);
+    EXPECT_EQ(nvx.divergencesFatal(), 0u);
+}
+
+TEST(ServeNvxTest, VproxyKeepAliveClientsNeverStarve)
+{
+    // All vproxy workers poll one shared listen socket and all wake for
+    // every connection; only one of them gets it. Clients here connect
+    // one at a time and never open another connection, and after every
+    // new connection each client issues one request on its own. A
+    // worker that lost an accept race and sat blocked in accept4 would
+    // leave its accepted clients unserved until some later connection
+    // happened to unblock it. Each response must arrive within the
+    // receive timeout, and after /__shutdown every variant must exit 0:
+    // workers that die to a signal mid-stream leave the follower
+    // variant waiting forever.
+    std::string endpoint = uniqueEndpoint("nvx-proxy");
+    core::Nvx nvx(engineConfig());
+    auto server = [endpoint]() -> int {
+        apps::vproxy::Options options;
+        options.endpoint = endpoint;
+        options.workers = 4;
+        options.page_bytes = 256;
+        return apps::vproxy::serve(options);
+    };
+    ASSERT_TRUE(nvx.start({server, server}).isOk());
+
+    constexpr int kClients = 16;
+    const struct timeval deadline = {5, 0};
+    std::vector<int> fds;
+    bool starved = false;
+    for (int c = 0; c < kClients && !starved; ++c) {
+        auto conn = netio::connectAbstract(endpoint);
+        ASSERT_TRUE(conn.ok());
+        ASSERT_EQ(::setsockopt(conn.value(), SOL_SOCKET, SO_RCVTIMEO,
+                               &deadline, sizeof(deadline)),
+                  0);
+        fds.push_back(conn.value());
+        for (std::size_t i = 0; i < fds.size(); ++i) {
+            if (!httpGetKeepAlive(fds[i])) {
+                ADD_FAILURE() << "client " << i << " unserved after "
+                              << fds.size() << " connections";
+                starved = true;
+                break;
+            }
+        }
+    }
+
+    for (int fd : fds)
+        ::close(fd);
+    bench::httpShutdown(endpoint);
+    auto results = nvx.waitFor(30000000000ULL);
+    for (const auto &r : results) {
+        EXPECT_FALSE(r.crashed) << "variant " << r.variant;
+        EXPECT_EQ(r.status, 0) << "variant " << r.variant;
+    }
     EXPECT_EQ(nvx.divergencesFatal(), 0u);
 }
 

@@ -468,5 +468,34 @@ TEST(RulesTest, RejectsUnverifiableProgram)
     EXPECT_FALSE(rules.addProgram(bad).isOk());
 }
 
+TEST(RuleHeatTest, CountersAndHotHookFireOnce)
+{
+    RuleSet rules;
+    // Rule 0 never matches (KILL), rule 1 skips everything.
+    ASSERT_TRUE(rules.addRule("ret #0\n").isOk());
+    ASSERT_TRUE(rules.addRule("ret #0x7ffd0000\n").isOk());
+
+    std::size_t hot_index = 999;
+    int fired = 0;
+    rules.onHotRule(3, [&](std::size_t index, const RuleHeat &heat) {
+        hot_index = index;
+        ++fired;
+        EXPECT_EQ(heat.decisions, 3u);
+    });
+
+    FilterContext ctx;
+    ctx.data.nr = 42;
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(rules.evaluate(ctx).action, RuleAction::Skip);
+
+    EXPECT_EQ(rules.heat(0).evaluations, 5u);
+    EXPECT_EQ(rules.heat(0).decisions, 0u);
+    EXPECT_EQ(rules.heat(1).evaluations, 5u);
+    EXPECT_EQ(rules.heat(1).decisions, 5u);
+    EXPECT_EQ(rules.hottestRule(), 1);
+    EXPECT_EQ(hot_index, 1u);
+    EXPECT_EQ(fired, 1); // once per rule, not once per threshold cross
+}
+
 } // namespace
 } // namespace varan::bpf

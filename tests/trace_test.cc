@@ -223,6 +223,30 @@ TEST(LayoutAttachTest, RoundTripAndRejection)
     EXPECT_EQ(cb->ring_capacity, 64u);
 }
 
+TEST(LayoutAttachTest, RejectsControlBlockOfAnotherLayout)
+{
+    // An inspector built from a different commit sees the same magic
+    // but a ControlBlock of a different size; attaching must refuse
+    // rather than misread every field past the first change.
+    auto r = shmem::Region::create(8 << 20);
+    ASSERT_TRUE(r.ok());
+    shmem::Region region = std::move(r.value());
+    core::EngineLayout created = core::EngineLayout::create(&region, 2, 0, 64);
+    core::ControlBlock *cb = created.controlBlock(&region);
+    ASSERT_TRUE(core::EngineLayout::attach(&region).ok());
+
+    cb->block_size += 64; // a larger block from a newer build
+    auto attached = core::EngineLayout::attach(&region);
+    ASSERT_FALSE(attached.ok());
+    EXPECT_EQ(attached.error().code, EINVAL);
+
+    cb->block_size = 0; // a build that never stamped the size
+    EXPECT_FALSE(core::EngineLayout::attach(&region).ok());
+
+    cb->block_size = sizeof(core::ControlBlock);
+    EXPECT_TRUE(core::EngineLayout::attach(&region).ok());
+}
+
 TEST(TraceEngineTest, StructuredDivergenceHookDeliversRecord)
 {
     core::EngineConfig config = fastConfig();
@@ -338,11 +362,8 @@ const char *const kMetricNames[] = {
     "varan_quorum_elections_total", "varan_quorum_leases_won_total",
     "varan_quorum_votes_granted_total", "varan_quorum_fences_total",
     "varan_recorder_active", "varan_recorder_events_total",
-    "varan_adapt_active", "varan_adapt_samples_total",
-    "varan_adapt_decisions_total", "varan_adapt_pinned_mask",
-    "varan_fastpath_hits_total", "varan_tuning_ship_batch",
-    "varan_tuning_credit_window", "varan_tuning_coalesce_run",
-    "varan_tuning_coalesce_window_ns", "varan_tuning_fastpath_top_k",
+    "varan_tuning_ship_batch", "varan_tuning_credit_window",
+    "varan_tuning_coalesce_run", "varan_tuning_coalesce_window_ns",
     "varan_trace_enabled", "varan_trace_records_total",
     "varan_divergence_records_total", "varan_publish_lag_ns",
     "varan_coalesce_dwell_ns", "varan_credit_stall_ns",

@@ -15,8 +15,11 @@
  * rather than a SIGKILL/reconnect race).
  */
 
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstring>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -824,6 +827,108 @@ TEST(WireFanOutTest, StalledPeerDoesNotGateTheOther)
     ::close(sva[1]);
     ::close(svb[0]);
     ::close(svb[1]);
+}
+
+TEST(WireFanOutTest, SlowPeerOutboxStaysWithinTwiceItsCap)
+{
+    // A peer that reads slower than the leader produces never lets the
+    // shipper's outbox drain completely. The sent prefix must still be
+    // given back: however many bytes pass through, the outbox holds at
+    // most twice its cap. Heap in use (glibc mallinfo2) is the probe;
+    // besides the outbox, only the retransmit buffer grows with the
+    // stream, and the credit window bounds it.
+    FakeLeader leader;
+    FakeRemote remote;
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+
+    Shipper::Options ship_opts;
+    ship_opts.ship_batch = 16;
+    ship_opts.credit_window = 2048;
+    ship_opts.outbox_limit = 1u << 20;
+    Shipper shipper(&leader.region, &leader.layout, ship_opts);
+    ASSERT_TRUE(shipper.attachTaps().isOk());
+    Receiver receiver(&remote.region, &remote.layout);
+    std::thread adopting(
+        [&] { ASSERT_TRUE(receiver.adopt(sv[1]).isOk()); });
+    ASSERT_TRUE(shipper.handshake(sv[0]).isOk());
+    adopting.join();
+
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        while (!done.load(std::memory_order_acquire))
+            receiver.serveOnce(20);
+    });
+    // The slow end: the remote ring is emptied once per millisecond,
+    // so the receiver (and behind it the socket) backs up.
+    std::atomic<std::uint64_t> consumed{0};
+    std::atomic<std::uint64_t> out_of_order{0};
+    std::thread consumer([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            for (const ring::Event &event : remote.drain(0)) {
+                const std::uint64_t n =
+                    consumed.fetch_add(1, std::memory_order_acq_rel);
+                if (event.timestamp != n + 1)
+                    out_of_order.fetch_add(1, std::memory_order_relaxed);
+            }
+            sleepNs(1000000);
+        }
+    });
+
+    const auto heap_in_use = [] {
+        const struct mallinfo2 info = ::mallinfo2();
+        return info.uordblks + info.hblkhd;
+    };
+    const std::size_t base = heap_in_use();
+    std::size_t peak = base;
+    const std::vector<char> payload(2048, 'p');
+    constexpr std::uint64_t kShipBytes = 64ull << 20;
+    std::uint64_t published = 0;
+    while (published * payload.size() < kShipBytes) {
+        // Keep the leader ring full without blocking on it: only the
+        // shipper's tap consumes it, on this thread.
+        while (published - shipper.stats().events < kCap) {
+            ++published;
+            leader.publish(0, syscallEvent(published, 0 /*read*/, 2048),
+                           payload.data(),
+                           static_cast<std::uint32_t>(payload.size()));
+        }
+        if (shipper.pumpOnce() == 0)
+            sleepNs(50000);
+        peak = std::max(peak, heap_in_use());
+    }
+    const std::uint64_t deadline = monotonicNs() + 30000000000ULL;
+    while (consumed.load(std::memory_order_acquire) < published &&
+           monotonicNs() < deadline) {
+        if (shipper.pumpOnce() == 0)
+            sleepNs(200000);
+    }
+    done.store(true, std::memory_order_release);
+    reader.join();
+    consumer.join();
+
+    // The whole stream arrived, in order and intact.
+    EXPECT_EQ(consumed.load(), published);
+    EXPECT_EQ(out_of_order.load(), 0u);
+    EXPECT_EQ(receiver.stats().corrupt_frames, 0u);
+    ASSERT_GT(shipper.stats().events, 0u);
+
+    // Wire bytes per event, frame headers included: the retransmit
+    // buffer holds at most a credit window (plus one batch) of them.
+    // The slack covers allocator and deque bookkeeping and the
+    // receiver's own buffers, a few KiB in practice.
+    const std::size_t bytes_per_event = static_cast<std::size_t>(
+        shipper.stats().bytes / shipper.stats().events + 1);
+    const std::size_t retransmit_bound =
+        (ship_opts.credit_window + ship_opts.ship_batch) * bytes_per_event;
+    constexpr std::size_t kSlack = 256u << 10;
+    EXPECT_LE(peak - base,
+              retransmit_bound + 2 * ship_opts.outbox_limit + kSlack)
+        << "heap grew " << ((peak - base) >> 20) << " MiB while shipping "
+        << (kShipBytes >> 20) << " MiB";
+
+    ::close(sv[0]);
+    ::close(sv[1]);
 }
 
 // --- cross-node promotion ----------------------------------------------
