@@ -11,7 +11,9 @@
 #define VARAN_COMMON_FUTEX_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace varan {
 
@@ -35,6 +37,26 @@ FutexResult futexWait(const std::atomic<std::uint32_t> *addr,
 
 /** Wake up to @p count waiters; returns the number actually woken. */
 int futexWake(const std::atomic<std::uint32_t> *addr, int count);
+
+/** One word of a futexWaitAny() set. */
+struct FutexWord {
+    const std::atomic<std::uint32_t> *addr;
+    std::uint32_t expected;
+};
+
+/** Most words one futexWaitAny() call accepts (the kernel's limit). */
+inline constexpr std::size_t kFutexWaitAnyMax = 128;
+
+/**
+ * Sleep until any word of @p words differs from its expected value or
+ * is woken — one futex_waitv(2) over the whole set (Linux >= 5.16).
+ * On an older kernel it degrades to a futexWait() on the first word;
+ * the timeout still bounds the sleep.
+ *
+ * @param timeout_ns relative timeout; 0 means wait forever.
+ */
+FutexResult futexWaitAny(std::span<const FutexWord> words,
+                         std::uint64_t timeout_ns);
 
 } // namespace varan
 

@@ -429,6 +429,43 @@ RingBuffer::lag(int id) const
 }
 
 bool
+RingBuffer::awaitAnyData(std::span<const RingBuffer> rings,
+                         std::span<const int> slots,
+                         std::uint64_t timeout_ns)
+{
+    VARAN_CHECK(rings.size() == slots.size() &&
+                rings.size() <= kFutexWaitAnyMax);
+    if (rings.empty()) {
+        sleepNs(timeout_ns);
+        return false;
+    }
+    // awaitData's waitlock, once per ring: announce, then read data_seq,
+    // then re-check head. A publish after the head check either bumps
+    // data_seq before the sleep (the wait returns at once) or sees the
+    // announcement and wakes the word.
+    FutexWord words[kFutexWaitAnyMax];
+    std::size_t announced = 0;
+    bool ready = false;
+    while (announced < rings.size() && !ready) {
+        RingControl *ctl = rings[announced].control();
+        ctl->consumers_waiting.fetch_add(1, std::memory_order_seq_cst);
+        words[announced] = {&ctl->data_seq,
+                            ctl->data_seq.load(std::memory_order_acquire)};
+        ready = rings[announced].lag(slots[announced]) > 0;
+        ++announced;
+    }
+    if (!ready)
+        futexWaitAny({words, announced}, timeout_ns);
+    for (std::size_t i = 0; i < announced; ++i) {
+        rings[i].control()->consumers_waiting.fetch_sub(
+            1, std::memory_order_release);
+    }
+    for (std::size_t i = 0; i < rings.size() && !ready; ++i)
+        ready = rings[i].lag(slots[i]) > 0;
+    return ready;
+}
+
+bool
 RingBuffer::consumerActive(int id) const
 {
     return control()->cursors[id].active.load(std::memory_order_acquire);

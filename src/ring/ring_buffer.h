@@ -185,6 +185,21 @@ class RingBuffer
     /** Events published but not yet consumed by slot @p id. */
     std::uint64_t lag(int id) const;
 
+    /**
+     * The waitlock of a consumer holding slot @p slots[i] on each of
+     * @p rings (the wire shipper's taps): announce on every ring,
+     * re-check every head, then sleep once in futexWaitAny() over all
+     * their data_seq words, so the first publish on any ring wakes the
+     * caller. No spinning. The same announce/re-check protocol as a
+     * single-ring wait, so a publish can never slip between the check
+     * and the sleep.
+     * @return true when some ring has events for its slot; false when
+     *         @p timeout_ns (0 = forever) passed first.
+     */
+    static bool awaitAnyData(std::span<const RingBuffer> rings,
+                             std::span<const int> slots,
+                             std::uint64_t timeout_ns);
+
     /** True if the slot is attached and gating the producer. */
     bool consumerActive(int id) const;
 

@@ -16,6 +16,10 @@ namespace varan::wire {
 
 namespace {
 
+/** Longest the serve loop waits for a frame before it relays
+ *  divergences and checks the promotion deadline. */
+constexpr int kServePollMs = 20;
+
 /** Is any event in the run an externally-visible synchronization
  *  point (descriptor transfer, fork, exit)? Credits flush there. */
 bool
@@ -533,13 +537,34 @@ Receiver::readFrame()
 int
 Receiver::serveOnce(int timeout_ms)
 {
+    int fd = -1;
+    {
+        std::lock_guard<std::mutex> guard(mutex_);
+        if (!link_up_.load(std::memory_order_acquire))
+            return -1;
+        fd = socket_fd_;
+    }
+    // Wait for the first frame without the lock, so stats(),
+    // requestStatus() and the status getters never queue behind an
+    // idle link.
+    struct pollfd pfd = {fd, POLLIN, 0};
+    int n = 0;
+    do {
+        n = ::poll(&pfd, 1, timeout_ms);
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0)
+        return 0;
+
     std::lock_guard<std::mutex> guard(mutex_);
     if (!link_up_.load(std::memory_order_acquire))
         return -1;
-    struct pollfd pfd = {socket_fd_, POLLIN, 0};
+    if (socket_fd_ != fd)
+        return 0; // adopt() swapped the link while we slept
     int frames = 0;
     for (;;) {
-        int n = ::poll(&pfd, 1, frames == 0 ? timeout_ms : 0);
+        // Re-poll under the lock: what woke the unlocked wait may
+        // have been consumed or replaced since.
+        n = ::poll(&pfd, 1, 0);
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)
@@ -751,7 +776,7 @@ Receiver::serveLoop()
             continue;
         }
         if (link_up_.load(std::memory_order_acquire)) {
-            int frames = serveOnce(options_.tick_ms);
+            int frames = serveOnce(kServePollMs);
             // Local followers replaying the remote stream append their
             // divergences to this node's ledger; relay anything new
             // upstream so the leader's coordinator sees it.

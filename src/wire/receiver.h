@@ -84,8 +84,6 @@ class Receiver
     struct Options {
         /** Send a Credit frame at least every this many events. */
         std::size_t credit_every = 64;
-        /** Poll tick while waiting for frames (ms). */
-        int tick_ms = 20;
         /** Ring-publish deadline before the link is dropped (ns). */
         std::uint64_t publish_timeout_ns = core::kPublishStallNs;
         /**

@@ -15,6 +15,20 @@
 
 namespace varan::wire {
 
+namespace {
+
+/** Longest the pump sleeps on its peer sockets for a Credit frame
+ *  while every credit window with backlog is closed. */
+constexpr int kCreditWaitMs = 20;
+
+/** Longest one idle sleep on the tap rings lasts. Peer input (Status,
+ *  Divergence, Bye) waits at most this long, and so does a tuple that
+ *  opened after the sleep began. The same tick the ring's own waits
+ *  use. */
+constexpr std::uint64_t kIdleSliceNs = 1000000;
+
+} // namespace
+
 Shipper::Shipper(const shmem::Region *region,
                  const core::EngineLayout *layout, Options options)
     : region_(region), layout_(layout), options_(options),
@@ -522,7 +536,7 @@ Shipper::evictStragglers()
 void
 Shipper::handlePeerInput(int fd)
 {
-    // Invoked from loop_.runOnce() inside pumpOnce(), which already
+    // Invoked from loop_.runOnce() inside pumpLocked(), which already
     // holds mutex_ — every loop_ access is serialized through it.
     PeerSession *peer = peerByFd(fd);
     if (!peer)
@@ -657,7 +671,7 @@ void
 Shipper::serveStatusRequest(PeerSession &peer)
 {
     // Runs under mutex_ (handlePeerInput is invoked from loop_.runOnce
-    // inside pumpOnce), so stats_ and the session are stable.
+    // inside pumpLocked), so stats_ and the session are stable.
     core::StatusReport report = core::collectStatus(region_, *layout_);
     Stats snapshot = stats_;
     snapshot.peers = static_cast<std::uint32_t>(peers_.size());
@@ -778,6 +792,12 @@ std::size_t
 Shipper::pumpOnce()
 {
     std::lock_guard<std::mutex> guard(mutex_);
+    return pumpLocked();
+}
+
+std::size_t
+Shipper::pumpLocked()
+{
     // Deliver any pending credit frames first so the windows reopen.
     loop_.runOnce(0);
     core::ControlBlock *cb = layout_->controlBlock(region_);
@@ -791,10 +811,37 @@ Shipper::pumpOnce()
     return drained;
 }
 
+Shipper::Idle
+Shipper::idleReason(ring::RingBuffer *rings, int *slots, std::size_t *count)
+{
+    const std::uint32_t tuples =
+        std::min(layout_->controlBlock(region_)->num_tuples.load(
+                     std::memory_order_acquire),
+                 core::kMaxTuples);
+    const std::size_t credit_window = liveCreditWindow();
+    bool backlog = false;
+    *count = 0;
+    for (std::uint32_t t = 0; t < tuples; ++t) {
+        const int slot = tuples_[t].tap_slot;
+        if (slot < 0)
+            continue;
+        ring::RingBuffer ring = layout_->tupleRing(region_, t);
+        rings[*count] = ring;
+        slots[*count] = slot;
+        ++*count;
+        if (ring.lag(slot) == 0)
+            continue;
+        if (tuples_[t].next_seq - fastestAcked(t) < credit_window)
+            return Idle::WindowOpen;
+        backlog = true;
+    }
+    return backlog ? Idle::WindowsClosed : Idle::Drained;
+}
+
 void
 Shipper::maybePushStatus()
 {
-    // Runs under mutex_ (from pumpOnce), like serveStatusRequest.
+    // Runs under mutex_ (from pumpLocked), like serveStatusRequest.
     if (options_.status_push_ns == 0 || peers_.empty())
         return;
     const std::uint64_t now = monotonicNs();
@@ -882,22 +929,41 @@ Shipper::drainRemaining()
             break;
         }
         std::lock_guard<std::mutex> guard(mutex_);
-        loop_.runOnce(options_.tick_ms); // wait for credits
+        loop_.runOnce(kCreditWaitMs); // wait for credits
     }
 }
 
 void
 Shipper::pumpLoop()
 {
+    ring::RingBuffer rings[core::kMaxTuples];
+    int slots[core::kMaxTuples];
     while (!stopping_.load(std::memory_order_acquire)) {
-        if (pumpOnce() == 0) {
-            // Idle: wait for credits or the next tick. The lock is
-            // held through the wait, like every other loop_ access —
-            // bounded by tick_ms, so handshakes and stats reads stall
-            // at most one tick.
+        std::size_t taps = 0;
+        {
+            // Why the pass was idle is decided in the drain's own
+            // critical section: read after the lock drops, the answer
+            // races the leader's next publish.
             std::lock_guard<std::mutex> guard(mutex_);
-            loop_.runOnce(options_.tick_ms);
+            if (pumpLocked() > 0)
+                continue;
+            switch (idleReason(rings, slots, &taps)) {
+              case Idle::WindowOpen:
+                continue; // an event landed behind the drain
+              case Idle::WindowsClosed:
+                // Only a Credit frame unblocks the stream. The lock is
+                // held through the wait, like every other loop_ access.
+                loop_.runOnce(kCreditWaitMs);
+                continue;
+              case Idle::Drained:
+                break;
+            }
         }
+        // Every tap drained: sleep on the rings' waitlock like a local
+        // follower, unlocked, so the leader's publish wakes the pump
+        // and stats()/addPeer() never wait behind an idle pump.
+        ring::RingBuffer::awaitAnyData({rings, taps}, {slots, taps},
+                                       kIdleSliceNs);
     }
     // Final sweep: ship whatever the leader published before stop.
     drainRemaining();

@@ -12,6 +12,16 @@
  * through a netio::EventLoop that also delivers each peer's Credit
  * frames.
  *
+ * Idle policy: when a pass drains nothing because every tap is empty,
+ * the pump sleeps on the tap rings' waitlock exactly like a local
+ * follower (RingBuffer::awaitAnyData, one futex_waitv over every open
+ * tuple's ring), outside its mutex, so the leader's commit() wakes it.
+ * Each such sleep lasts at most 1 ms, and every pass first reads the
+ * peer sockets, so peer input (Status requests, Divergence relays,
+ * Bye) waits at most 1 ms. Only when the backlog is held back by
+ * closed credit windows does the pump sleep on its peer sockets
+ * instead, for the Credit frame that reopens one.
+ *
  * Fan-out bookkeeping is a per-peer session table keyed by the
  * receiver's stable identity (HelloAck::receiver_id): each session
  * carries its own credit window, send cursor and non-blocking outbox,
@@ -95,8 +105,6 @@ class Shipper
          *  compacted away, so the buffer itself stays within twice the
          *  cap (for frames no larger than the cap). */
         std::size_t outbox_limit = 4u << 20;
-        /** Pump tick while idle (ms). */
-        int tick_ms = 20;
         /** Unsolicited Status frame broadcast interval (ns); 0 = off.
          *  Every live peer receives the same coordinator snapshot the
          *  status RPC serves — the receiver-side decode path is
@@ -232,6 +240,20 @@ class Shipper
     /** Broadcast an unsolicited Status frame to every live peer when
      *  the push interval elapsed (Options::status_push_ns). */
     void maybePushStatus();
+
+    /** pumpOnce() for a caller that holds mutex_. */
+    std::size_t pumpLocked();
+
+    /** Why a pass drained nothing. */
+    enum class Idle {
+        WindowOpen,    ///< backlog behind an open window: pump again
+        WindowsClosed, ///< backlog, every window closed: await credits
+        Drained,       ///< every tap drained: sleep on the rings
+    };
+    /** Decide why the pass just run was idle; caller holds mutex_.
+     *  Also lists the ring and tap slot of every open tuple — the set
+     *  the pump sleeps on when the answer is Drained. */
+    Idle idleReason(ring::RingBuffer *rings, int *slots, std::size_t *count);
 
     std::size_t drainTuple(std::uint32_t tuple);
     /** Send buffered frames to every live peer whose window is open. */

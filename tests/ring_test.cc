@@ -321,6 +321,40 @@ TEST_F(RingTest, FutexPathDeliversUnderSlowProduction)
     producer.join();
 }
 
+TEST_F(RingTest, AwaitAnyDataWakesOnAnyRing)
+{
+    // One consumer holding a slot on three rings sleeps on all of them
+    // at once: silence times out, a publish on the last ring wakes it,
+    // and every announcement is withdrawn afterwards.
+    init(8);
+    RingBuffer rings[3] = {ring_};
+    for (int r = 1; r < 3; ++r) {
+        Offset off = region_.carve(RingBuffer::bytesRequired(8));
+        rings[r] = RingBuffer::initialize(&region_, off, 8);
+    }
+    int slots[3];
+    for (int r = 0; r < 3; ++r)
+        slots[r] = rings[r].attachConsumer();
+
+    std::uint64_t t0 = monotonicNs();
+    EXPECT_FALSE(RingBuffer::awaitAnyData(rings, slots, 20000000)); // 20 ms
+    EXPECT_GE(monotonicNs() - t0, 15000000ULL);
+
+    std::thread producer([&] {
+        sleepNs(5000000); // the consumer is asleep by now
+        rings[2].publish(makeEvent(1, 0, 0));
+    });
+    t0 = monotonicNs();
+    EXPECT_TRUE(RingBuffer::awaitAnyData(rings, slots, 5000000000ULL));
+    EXPECT_LT(monotonicNs() - t0, 1000000000ULL);
+    producer.join();
+    for (const RingBuffer &ring : rings)
+        EXPECT_EQ(ring.consumersWaiting(), 0u);
+
+    // Data already there: no sleep at all.
+    EXPECT_TRUE(RingBuffer::awaitAnyData(rings, slots, 0));
+}
+
 TEST_F(RingTest, ConsumeTimesOutOnSilence)
 {
     init(8);

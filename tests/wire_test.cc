@@ -1097,6 +1097,112 @@ TEST(WireStatusTest, StatusRequestServedOverSocketpair)
     ::close(sv[1]);
 }
 
+// --- idle pumps ---------------------------------------------------------
+
+/** A leader -> Shipper -> socketpair -> Receiver pipe with both pump
+ *  threads running, the way an engine runs them. */
+struct RunningPipe {
+    FakeLeader leader;
+    FakeRemote remote;
+    int sv[2] = {-1, -1};
+    std::unique_ptr<Shipper> shipper;
+    std::unique_ptr<Receiver> receiver;
+
+    explicit RunningPipe(std::uint32_t tuples = 1)
+    {
+        leader.layout.controlBlock(&leader.region)
+            ->num_tuples.store(tuples, std::memory_order_release);
+        VARAN_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+        shipper = std::make_unique<Shipper>(&leader.region, &leader.layout);
+        receiver =
+            std::make_unique<Receiver>(&remote.region, &remote.layout);
+        VARAN_CHECK(shipper->attachTaps().isOk());
+        std::thread adopting(
+            [this] { VARAN_CHECK(receiver->adopt(sv[1]).isOk()); });
+        VARAN_CHECK(shipper->addPeer(sv[0]).isOk());
+        adopting.join();
+        shipper->start();
+        receiver->start();
+    }
+
+    ~RunningPipe()
+    {
+        shipper->finish();
+        receiver->finish();
+        ::close(sv[0]);
+        ::close(sv[1]);
+    }
+};
+
+TEST(WireTest, StatsDoNotWaitBehindIdlePumps)
+{
+    // An idle pump must not sit on its mutex: the getters, and the
+    // Status RPC the receiver sends through its own lock, answer at
+    // once even while nothing streams.
+    RunningPipe pipe;
+    sleepNs(50000000); // both pumps go idle
+    constexpr std::uint64_t kCallBoundNs = 50000000; // 50 ms
+    for (int i = 0; i < 50; ++i) {
+        const std::uint64_t start = monotonicNs();
+        (void)pipe.shipper->stats();
+        ASSERT_LT(monotonicNs() - start, kCallBoundNs)
+            << "Shipper::stats() call " << i;
+    }
+    for (int i = 0; i < 50; ++i) {
+        const std::uint64_t start = monotonicNs();
+        (void)pipe.receiver->stats();
+        ASSERT_LT(monotonicNs() - start, kCallBoundNs)
+            << "Receiver::stats() call " << i;
+    }
+
+    const std::uint64_t start = monotonicNs();
+    const std::uint64_t deadline = start + 1000000000ULL; // 1 s
+    ASSERT_TRUE(pipe.receiver->requestStatus().isOk());
+    core::StatusReport report = {};
+    while (!pipe.receiver->remoteStatus(&report) &&
+           monotonicNs() < deadline) {
+        sleepNs(100000);
+    }
+    ASSERT_TRUE(pipe.receiver->remoteStatus(&report))
+        << "no status reply within 1 s";
+    EXPECT_EQ(report.shipper.active, 1u);
+}
+
+/** Median microseconds from the leader's commit() on @p tuple to the
+ *  remote ring's head moving, over 20 events published 30 ms apart
+ *  into an idle pipe of @p tuples open tuples. */
+std::uint64_t
+medianWakeUs(std::uint32_t tuples, std::uint32_t tuple)
+{
+    RunningPipe pipe(tuples);
+    ring::RingBuffer remote_ring =
+        pipe.remote.layout.tupleRing(&pipe.remote.region, tuple);
+    sleepNs(50000000); // the pump goes idle
+    std::vector<std::uint64_t> delays_us;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        const std::uint64_t head = remote_ring.headSeq();
+        const std::uint64_t start = monotonicNs();
+        pipe.leader.publish(tuple, syscallEvent(i + 1, 39 /*getpid*/, 0));
+        const std::uint64_t deadline = start + 1000000000ULL;
+        while (remote_ring.headSeq() == head && monotonicNs() < deadline)
+            std::this_thread::yield();
+        delays_us.push_back((monotonicNs() - start) / 1000);
+        sleepNs(30000000);
+    }
+    std::sort(delays_us.begin(), delays_us.end());
+    return delays_us[delays_us.size() / 2];
+}
+
+TEST(WireTest, IdleShipperWakesOnLeaderPublish)
+{
+    // The idle shipper sleeps on the tap rings' waitlock, so the
+    // leader's commit() wakes it: delivery costs microseconds, not a
+    // share of a poll tick. Tuple 2 of three covers the multi-ring
+    // wait set.
+    EXPECT_LT(medianWakeUs(1, 0), 5000u);
+    EXPECT_LT(medianWakeUs(3, 2), 5000u);
+}
+
 TEST(WireEndToEndTest, StatusRpcMatchesLiveLeaderGetters)
 {
     // The acceptance scenario: a remote node requests the coordinator
