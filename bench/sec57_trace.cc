@@ -2,31 +2,20 @@
  * @file
  * Section 5.7 (extension): event-path tracing overhead ablation.
  *
- * Two trace-off-vs-trace-on comparisons, one per event-path layer the
- * observability substrate instruments:
+ * A trace-off-vs-trace-on comparison of wire shipping: a socketpair
+ * harness (Shipper -> Receiver, remote follower draining the
+ * re-materialized ring) with the ship batch fixed at 64. The shipper
+ * and receiver carry their own stamp sites (ShipperDrain,
+ * ReceiverPublish, the credit-stall histogram), all guarded by the
+ * live `ControlBlock::trace.enabled` switch, so the rows differ only
+ * in that switch on both regions.
  *
- *  - Coalesced publish: a PublishCoalescer over one ring with the run
- *    cap fixed at 64, plus the monitor's per-event trace work replicated
- *    at the same cadence — the enabled() guard and sampled() lag mark
- *    on every add, a dwell histogram sample and CoalesceFlush stamp
- *    per 64-event run, and the follower-side lag match + dispatch
- *    stamp in the consumer. Toggling `ControlBlock::trace.enabled`
- *    is the only difference between the rows.
- *
- *  - Wire shipping: a socketpair harness (Shipper -> Receiver,
- *    remote follower draining the re-materialized ring) with the ship
- *    batch fixed at 64. The shipper and receiver carry
- *    their own stamp sites (ShipperDrain, ReceiverPublish, the
- *    credit-stall histogram), all guarded by the same live switch, so
- *    the rows differ only in `trace.enabled` on both regions.
- *
- * The figure of merit is overhead: (off - on) / off. The acceptance
- * ceiling for the coalesced-publish row is 5% — the flight recorder
- * and histograms must be cheap enough to leave on in production,
- * which is the premise of the whole trace subsystem. Each mode runs
- * three times and reports the best run so the single-core CI box's
- * scheduling noise does not masquerade as instrumentation cost.
- * JSON baselines land in BENCH_trace.json via VARAN_BENCH_JSON.
+ * The figure of merit is overhead: (off - on) / off. The flight
+ * recorder and histograms must be cheap enough to leave on in
+ * production, which is the premise of the whole trace subsystem. Each
+ * mode runs twice and reports the best run so scheduling noise does
+ * not masquerade as instrumentation cost. JSON baselines land in
+ * BENCH_trace.json via VARAN_BENCH_JSON.
  */
 
 #include <cstdio>
@@ -38,7 +27,6 @@
 #include "benchutil/table.h"
 #include "common/clock.h"
 #include "core/layout.h"
-#include "core/tuning.h"
 #include "trace/trace.h"
 #include "wire/receiver.h"
 #include "wire/shipper.h"
@@ -49,7 +37,7 @@ using namespace varan::bench;
 namespace {
 
 constexpr std::uint32_t kRingCapacity = 1024;
-constexpr std::uint64_t kRunCap = 64; ///< fixed coalesce run / ship batch
+constexpr std::uint64_t kShipBatch = 64; ///< fixed ship batch
 
 struct Node {
     shmem::Region region;
@@ -71,105 +59,6 @@ struct RunResult {
     std::uint64_t trace_records = 0; ///< flight-recorder stamps
 };
 
-/** Coalesced-publish throughput with the monitor's trace cadence
- *  replicated inline; @p traced toggles the live switch only. */
-RunResult
-runCoalesce(bool traced, std::uint64_t total_events)
-{
-    Node host(0);
-    core::ControlBlock *cb = host.layout.controlBlock(&host.region);
-    trace::TraceBlock &tb = cb->trace;
-    tb.enabled.store(traced ? 1 : 0, std::memory_order_relaxed);
-    core::TuningHandle(&cb->tuning).set(core::Knob::CoalesceRun, kRunCap);
-
-    ring::RingBuffer ring = host.layout.tupleRing(&host.region, 0);
-    const int slot = ring.attachConsumer();
-    VARAN_CHECK(slot >= 0);
-
-    ring::PublishCoalescer coalescer;
-    coalescer.reset(&ring, ring::PublishCoalescer::kMaxPending);
-    coalescer.bindLiveLimit(
-        &cb->tuning.values[static_cast<std::uint32_t>(
-            core::Knob::CoalesceRun)]);
-
-    std::thread consumer([&] {
-        ring::Event events[64];
-        ring::WaitSpec wait;
-        wait.timeout_ns = 50000000; // 50 ms tick
-        std::uint64_t seen = 0;
-        while (seen < total_events) {
-            const std::uint64_t n = ring.consumeBatch(slot, events, 64,
-                                                      wait);
-            // The follower's dispatch-side trace work, at the real
-            // cadence: lag match + stamp for sampled events only.
-            if (trace::enabled(tb)) {
-                for (std::uint64_t i = 0; i < n; ++i) {
-                    if (!trace::sampled(events[i].timestamp))
-                        continue;
-                    const std::uint64_t now = monotonicNs();
-                    trace::lagMatch(tb, events[i].timestamp, now);
-                    trace::stamp(tb, trace::Stage::FollowerDispatch, 0,
-                                 0, events[i].nr, now,
-                                 events[i].timestamp);
-                }
-            }
-            seen += n;
-        }
-    });
-
-    const std::uint64_t start_ns = monotonicNs();
-    ring::Event event = {};
-    event.type = ring::EventType::Syscall;
-    event.nr = 39; // getpid
-    event.result = 4242;
-    std::uint64_t run_first_ns = 0;
-    std::uint64_t run_len = 0;
-    std::uint64_t since_bump = 0;
-    for (std::uint64_t i = 0; i < total_events; ++i) {
-        event.timestamp = i + 1;
-        VARAN_CHECK(coalescer.add(event));
-        // The leader's publish-side trace work, mirroring
-        // Monitor::publish/flushCoalesced: one clock read per sampled
-        // event, one dwell sample + stamp per kRunCap-long run.
-        if (trace::enabled(tb)) {
-            if (run_len++ == 0)
-                run_first_ns = monotonicNs();
-            if (trace::sampled(event.timestamp))
-                trace::lagMark(tb, event.timestamp, monotonicNs());
-            if (run_len == kRunCap) {
-                const std::uint64_t now = monotonicNs();
-                if (now > run_first_ns)
-                    trace::histogramRecord(tb.coalesce_dwell,
-                                           now - run_first_ns);
-                trace::stamp(tb, trace::Stage::CoalesceFlush, 0, 0, 0,
-                             now, run_len);
-                run_len = 0;
-            }
-        }
-        if (++since_bump == 4096) {
-            cb->events_streamed.fetch_add(since_bump,
-                                          std::memory_order_relaxed);
-            since_bump = 0;
-        }
-    }
-    VARAN_CHECK(coalescer.flush());
-    cb->events_streamed.fetch_add(since_bump, std::memory_order_relaxed);
-
-    consumer.join();
-    const std::uint64_t elapsed_ns = monotonicNs() - start_ns;
-
-    RunResult result;
-    result.events_per_sec =
-        elapsed_ns > 0 ? 1e9 * static_cast<double>(total_events) /
-                             static_cast<double>(elapsed_ns)
-                       : 0;
-    result.lag_samples =
-        tb.publish_lag.count.load(std::memory_order_relaxed);
-    result.trace_records =
-        tb.trace_head.load(std::memory_order_relaxed);
-    return result;
-}
-
 /** End-to-end shipping throughput; the shipper's and receiver's own
  *  stamp sites are the instrumentation under test. */
 RunResult
@@ -186,7 +75,7 @@ runWire(bool traced, std::uint64_t total_events)
     VARAN_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
 
     wire::Shipper::Options ship_opts;
-    ship_opts.ship_batch = kRunCap;
+    ship_opts.ship_batch = kShipBatch;
     ship_opts.credit_window = 4096;
     wire::Shipper shipper(&leader.region, &leader.layout, ship_opts);
     VARAN_CHECK(shipper.attachTaps().isOk());
@@ -294,42 +183,24 @@ int
 main()
 {
     ignoreSigpipe();
-    const std::uint64_t ring_total = scaled(4000000, 200000);
     const std::uint64_t wire_total = scaled(800000, 60000);
     std::printf("Section 5.7 (extension): event-path tracing "
                 "overhead\n\n");
 
-    {
-        const RunResult off = bestOf(
-            3, [&] { return runCoalesce(false, ring_total); });
-        const RunResult on = bestOf(
-            3, [&] { return runCoalesce(true, ring_total); });
-        char title[128];
-        std::snprintf(title, sizeof(title),
-                      "Coalesced publish (run %llu), %llu events",
-                      static_cast<unsigned long long>(kRunCap),
-                      static_cast<unsigned long long>(ring_total));
-        report(title, "sec57_coalesce", off, on);
-    }
+    const RunResult off =
+        bestOf(2, [&] { return runWire(false, wire_total); });
+    const RunResult on =
+        bestOf(2, [&] { return runWire(true, wire_total); });
+    char title[128];
+    std::snprintf(title, sizeof(title),
+                  "Wire shipping (batch %llu), %llu events end to end",
+                  static_cast<unsigned long long>(kShipBatch),
+                  static_cast<unsigned long long>(wire_total));
+    report(title, "sec57_wire", off, on);
 
-    {
-        const RunResult off =
-            bestOf(2, [&] { return runWire(false, wire_total); });
-        const RunResult on =
-            bestOf(2, [&] { return runWire(true, wire_total); });
-        char title[128];
-        std::snprintf(
-            title, sizeof(title),
-            "Wire shipping (batch %llu), %llu events end to end",
-            static_cast<unsigned long long>(kRunCap),
-            static_cast<unsigned long long>(wire_total));
-        report(title, "sec57_wire", off, on);
-    }
-
-    std::printf("Expected shape: the trace-on rows stay within 5%% of "
-                "trace-off on the\ncoalesced-publish path (the "
-                "acceptance ceiling) — log2 histograms and\n"
-                "fetch_add slot claims are cheap enough to leave on in "
+    std::printf("Expected shape: the trace-on row stays within a few "
+                "percent of trace-off —\nlog2 histograms and fetch_add "
+                "slot claims are cheap enough to leave on in\n"
                 "production.\n");
     return 0;
 }

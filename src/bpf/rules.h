@@ -11,7 +11,7 @@
  *  - SKIP: the leader-only event is consumed without the follower
  *    executing anything (the "removal" class).
  *  - ERRNO|e: the follower's call is absorbed and fails with -e without
- *    executing (useful for coalescing patterns).
+ *    executing (useful when a revision merged a call away).
  *  - KILL: the follower is terminated, the lockstep-equivalent default.
  */
 

@@ -61,10 +61,10 @@ class ChannelSet
     int controlVariantEnd(std::uint32_t v) const;
 
     /** Data-channel descriptor variant @p self uses to reach @p peer.
-     *  Descriptor transfer stays ordered against the event stream even
-     *  under publish coalescing: fd-creating events never join a
-     *  pending run, so the descriptor is always in flight before its
-     *  event becomes visible. Both ids must be < numVariants(). */
+     *  Descriptor transfer stays ordered against the event stream: the
+     *  leader sends the descriptor before it publishes the event, so
+     *  the descriptor is always in flight before its event becomes
+     *  visible. Both ids must be < numVariants(). */
     int data(std::uint32_t self, std::uint32_t peer) const;
 
     /** Zygote channel ends. */

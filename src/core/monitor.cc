@@ -144,22 +144,7 @@ Monitor::Monitor(const shmem::Region *region, EngineLayout layout,
     for (std::uint32_t t = 0; t < kMaxTuples; ++t) {
         rings_[t] = layout.tupleRing(region, t);
         shadows_[t] = layout.tupleShadow(region, t);
-        tuple_refs_[t] = TupleRef{this, t};
-        // Hard cap at the coalescer's storage ceiling; the run length
-        // actually in force is the live CoalesceRun knob, re-read on
-        // every add() so retuning needs no reset.
-        coalescers_[t].reset(&rings_[t], ring::PublishCoalescer::kMaxPending,
-                             &Monitor::recycleSlots, &tuple_refs_[t]);
-        coalescers_[t].bindLiveLimit(
-            &cb_->tuning.values[static_cast<std::uint32_t>(
-                Knob::CoalesceRun)]);
     }
-    // First-seeder-wins: a no-op under the coordinator (which seeds all
-    // knobs from EngineConfig before forking variants), effective when
-    // a Monitor is stood up directly over a raw layout.
-    seedKnob(cb_->tuning, Knob::CoalesceRun, config_.coalesce_max);
-    seedKnob(cb_->tuning, Knob::CoalesceWindowNs,
-             config_.coalesce_window_ns);
     for (const std::string &text : config_.rules_text) {
         if (!rules_.addRule(text).isOk())
             fatal("invalid rewrite rule: %s", rules_.lastError().c_str());
@@ -192,9 +177,6 @@ Monitor::initVariant(const shmem::Region *region, EngineLayout layout,
         static_cast<std::uint32_t>(::getpid()), std::memory_order_release);
     t_tuple = 0;
     g_monitor->installCrashHandlers();
-    if (config.coalesce_publish)
-        g_monitor->flusher_thread_ =
-            std::thread([m = g_monitor] { m->flusherLoop(); });
     sys::setDispatcher(g_monitor);
     return g_monitor;
 }
@@ -285,16 +267,12 @@ Monitor::dispatch(long nr, const std::uint64_t args[6])
 
     switch (info.cls) {
       case sys::SyscallClass::Local:
-        // A pending coalesced run must not be held across a local call
-        // that can block (futex, wait4): followers would starve.
-        coalesceBarrier(currentTuple(), info);
         return sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
                                args[4], args[5]);
       case sys::SyscallClass::Unhandled:
         // Footnote 8: surface unhandled calls loudly, then fall through
         // to local execution so development can continue.
         warn("unhandled syscall %ld executed locally", nr);
-        coalesceBarrier(currentTuple(), info);
         return sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
                                args[4], args[5]);
       case sys::SyscallClass::Fork:
@@ -381,161 +359,8 @@ Monitor::buildPayload(int tuple, const sys::SyscallInfo &info,
 }
 
 void
-Monitor::recycleSlots(void *ctx, std::uint64_t first_seq, std::size_t count)
-{
-    auto *ref = static_cast<TupleRef *>(ctx);
-    Monitor *m = ref->monitor;
-    std::uint64_t *shadow = m->shadows_[ref->tuple];
-    const std::uint64_t mask = m->cb_->ring_capacity - 1;
-    // claim() has proven every consumer is past these slots, so their
-    // old payloads are unreferenced. Coalesced events are payload-free:
-    // the slots' shadows become empty.
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint64_t idx = (first_seq + i) & mask;
-        if (shadow[idx] != 0) {
-            m->pool_.release(shadow[idx]);
-            shadow[idx] = 0;
-        }
-    }
-}
-
-void
-Monitor::flushCoalesced(int tuple)
-{
-    ring::PublishCoalescer &co = coalescers_[tuple];
-    const std::size_t n = co.pending();
-    if (n == 0)
-        return;
-    ring::WaitSpec publish_wait = config_.wait;
-    publish_wait.timeout_ns = kPublishStallNs;
-    if (!co.flush(publish_wait))
-        panic("coalesced publish stalled: follower wedged?");
-    cb_->events_streamed.fetch_add(n, std::memory_order_relaxed);
-    cb_->publish_batches.fetch_add(1, std::memory_order_relaxed);
-    cb_->events_coalesced.fetch_add(n, std::memory_order_relaxed);
-    if (trace::enabled(cb_->trace)) {
-        // Batch-granular: one clock read and one histogram sample per
-        // flushed run, never per event.
-        const std::uint64_t now = monotonicNs();
-        const std::uint64_t first = coalesce_first_ns_[tuple];
-        if (first != 0 && now > first)
-            trace::histogramRecord(cb_->trace.coalesce_dwell, now - first);
-        trace::stamp(cb_->trace, trace::Stage::CoalesceFlush,
-                     static_cast<std::uint8_t>(config_.variant_id),
-                     static_cast<std::uint8_t>(tuple), 0, now,
-                     static_cast<std::uint64_t>(n));
-    }
-    coalesce_first_ns_[tuple] = 0;
-}
-
-std::uint64_t
-Monitor::liveCoalesceWindowNs() const
-{
-    return liveKnob(cb_->tuning, Knob::CoalesceWindowNs);
-}
-
-void
-Monitor::coalesceBarrier(int tuple, const sys::SyscallInfo &info)
-{
-    if (coalescers_[tuple].pending() == 0)
-        return;
-    if (info.may_block ||
-        rings_[tuple].consumersWaiting() > 0 ||
-        monotonicNs() -
-                coalesce_last_ns_[tuple].load(std::memory_order_acquire) >=
-            liveCoalesceWindowNs()) {
-        std::lock_guard<std::mutex> guard(coalesce_mutex_[tuple]);
-        flushCoalesced(tuple);
-    }
-}
-
-void
-Monitor::coalesceAdd(int tuple, ring::Event &event)
-{
-    std::lock_guard<std::mutex> guard(coalesce_mutex_[tuple]);
-    event.timestamp = clock_.tick();
-    event.flags |= config_.variant_id << kPublisherShift;
-    // Flush through flushCoalesced (not add's internal overflow path)
-    // so the stream statistics see every shipped run. effectiveMax()
-    // is the live CoalesceRun knob: a retune applies to the very next
-    // event.
-    if (coalescers_[tuple].pending() >= coalescers_[tuple].effectiveMax())
-        flushCoalesced(tuple);
-    ring::WaitSpec publish_wait = config_.wait;
-    publish_wait.timeout_ns = kPublishStallNs;
-    if (!coalescers_[tuple].add(event, publish_wait))
-        panic("coalesced publish stalled: follower wedged?");
-    const std::uint64_t now = monotonicNs();
-    coalesce_last_ns_[tuple].store(now, std::memory_order_release);
-    // Reuse the staleness timestamp for the trace layer: the dwell
-    // baseline (run's first add) and the sampled publish→dispatch lag
-    // mark cost no extra clock reads here.
-    if (coalescers_[tuple].pending() == 1)
-        coalesce_first_ns_[tuple] = now;
-    if (trace::enabled(cb_->trace) && trace::sampled(event.timestamp))
-        trace::lagMark(cb_->trace, event.timestamp, now);
-    // A follower already asleep in the waitlock wants this event now;
-    // holding the run back would trade its latency for nothing.
-    if (rings_[tuple].consumersWaiting() > 0)
-        flushCoalesced(tuple);
-}
-
-void
-Monitor::flusherLoop()
-{
-    while (!flusher_stop_.load(std::memory_order_acquire)) {
-        // Tick at half the staleness window so a stale run waits at
-        // most ~1.5 windows even when the leader never dispatches
-        // again. Floor at 1 ms: this thread is a last-resort backstop
-        // (the dispatch barriers cover every active path), so
-        // sub-millisecond wakeups in every variant would be pure
-        // overhead. Cap at 10 ms so shutdown (which joins this thread)
-        // stays prompt under huge windows. Recomputed every tick from
-        // the live knob: retuning the window also retunes the backstop.
-        const std::uint64_t window = liveCoalesceWindowNs();
-        std::uint64_t tick = window / 2;
-        if (tick < 1000000)
-            tick = 1000000;
-        if (tick > 10000000)
-            tick = 10000000;
-        sleepNs(tick);
-        if (!isLeader())
-            continue;
-        const std::uint64_t now = monotonicNs();
-        for (std::uint32_t t = 0; t < kMaxTuples; ++t) {
-            if (coalescers_[t].pending() == 0)
-                continue;
-            if (now - coalesce_last_ns_[t].load(std::memory_order_acquire) <
-                window) {
-                continue;
-            }
-            std::lock_guard<std::mutex> guard(coalesce_mutex_[t]);
-            // Re-check under the lock: the owner may have flushed (or
-            // grown) the run while we were deciding.
-            if (coalescers_[t].pending() == 0)
-                continue;
-            if (monotonicNs() -
-                    coalesce_last_ns_[t].load(std::memory_order_acquire) <
-                window) {
-                continue;
-            }
-            flushCoalesced(static_cast<int>(t));
-        }
-    }
-}
-
-void
 Monitor::publishEvent(int tuple, ring::Event &event, shmem::Offset payload)
 {
-    // The time-based flusher may be mid-claim on this ring; producer
-    // access is serialized while coalescing is enabled.
-    std::unique_lock<std::mutex> guard;
-    if (config_.coalesce_publish)
-        guard = std::unique_lock<std::mutex>(coalesce_mutex_[tuple]);
-
-    // Stream order: anything coalesced earlier must go out first.
-    flushCoalesced(tuple);
-
     event.timestamp = clock_.tick();
     event.flags |= config_.variant_id << kPublisherShift;
 
@@ -591,10 +416,6 @@ long
 Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
                         const sys::SyscallInfo &info)
 {
-    // A pending coalesced run must not sit behind a call that can wait
-    // indefinitely, and a stale run (leader went quiet) ships now.
-    coalesceBarrier(tuple, info);
-
     long result = sys::rawSyscall(nr, args[0], args[1], args[2], args[3],
                                   args[4], args[5]);
     if (result == sys::kErestartsys) {
@@ -628,18 +449,6 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
                 reinterpret_cast<const void *>(args[1]), hash_len);
             event.payload_size = hash_len;
         }
-    }
-
-    // The coalescing fast path: a payload-free syscall event with no
-    // descriptor in flight joins the tuple's pending run instead of
-    // paying a head store + futex wake of its own. Disabled while more
-    // than one tuple is live — a buffered timestamp would stall sibling
-    // tuples' followers in the cross-tuple clock order (Figure 3).
-    if (config_.coalesce_publish && payload == 0 &&
-        info.cls != sys::SyscallClass::FdCreating &&
-        cb_->num_tuples.load(std::memory_order_acquire) == 1) {
-        coalesceAdd(tuple, event);
-        return result;
     }
 
     // Descriptor transfer happens before publication so a follower that
@@ -741,16 +550,6 @@ Monitor::resetProcessStateAfterFork(int child_tuple)
     for (std::uint32_t v = 0; v < kMaxVariants; ++v)
         new (&fd_inboxes_[v]) FdInbox();
     owned_tuples_.store(1u << child_tuple, std::memory_order_release);
-
-    // Same treatment for the coalescing locks, and the flusher thread
-    // handle: the pthread was not duplicated by fork, so the inherited
-    // handle is joinable-but-dead — finishVariant() joining it would
-    // block forever. The child runs without a time-based flusher (its
-    // dispatch barriers still flush; fork-tuple children are processes,
-    // not syscall-dense coalescing leaders).
-    for (std::uint32_t t = 0; t < kMaxTuples; ++t)
-        new (&coalesce_mutex_[t]) std::mutex();
-    new (&flusher_thread_) std::thread();
 }
 
 Result<Fd>
@@ -908,20 +707,39 @@ Monitor::resolveDivergence(const ring::Event &event, long nr,
         cb_->divergences_resolved.fetch_add(1, std::memory_order_relaxed);
         return DivergenceOutcome::SyntheticErrno;
       case bpf::RuleAction::Kill:
-      default:
+      default: {
         recordDivergence(event, nr, args, trace::DivergenceAction::Fatal);
-        fatalDivergence(event, nr);
+        // nr < 0 means the follower expected a Fork event.
+        const auto wanted = nr < 0 ? ring::EventType::Fork
+                                   : ring::EventType::Syscall;
+        if (event.type != wanted) {
+            fatalDivergence(DivergenceCheck::EventType,
+                            static_cast<std::uint64_t>(wanted),
+                            static_cast<std::uint64_t>(event.type));
+        }
+        fatalDivergence(DivergenceCheck::SyscallNumber,
+                        static_cast<std::uint64_t>(nr), event.nr);
+      }
     }
 }
 
 void
-Monitor::fatalDivergence(const ring::Event &event, long nr)
+Monitor::fatalDivergence(DivergenceCheck check, std::uint64_t mine,
+                         std::uint64_t leader)
 {
+    static constexpr const char *kCheckNames[] = {
+        "event type", "syscall number", "content hash"};
     cb_->divergences_fatal.fetch_add(1, std::memory_order_relaxed);
-    warn("fatal divergence: follower %u wants syscall %ld, leader "
-         "streamed %u (type %u)",
-         config_.variant_id, nr, event.nr,
-         static_cast<unsigned>(event.type));
+    // Hashes read best in hex, event types and syscall numbers in decimal.
+    const char *fmt = check == DivergenceCheck::ContentHash
+                          ? "fatal divergence: follower %u failed the %s "
+                            "check (follower 0x%08llx, leader streamed "
+                            "0x%08llx)"
+                          : "fatal divergence: follower %u failed the %s "
+                            "check (follower %llu, leader streamed %llu)";
+    warn(fmt, config_.variant_id, kCheckNames[static_cast<int>(check)],
+         static_cast<unsigned long long>(mine),
+         static_cast<unsigned long long>(leader));
     VariantSlot &slot = cb_->variants[config_.variant_id];
     slot.state.store(static_cast<std::uint32_t>(VariantState::Crashed),
                      std::memory_order_release);
@@ -995,8 +813,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
         }
 
         // Refill the read-ahead: one head acquire covers a whole run of
-        // already-published events (the follower-side mirror of the
-        // leader's publish coalescing). The peeked slots stay claimed —
+        // already-published events. The peeked slots stay claimed —
         // and their pool payloads alive — until each event is processed
         // and individually advanced below.
         if (cache.pos == cache.count) {
@@ -1073,7 +890,8 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
             if (my_hash != event.payload) {
                 recordDivergence(event, nr, args,
                                  trace::DivergenceAction::Fatal);
-                fatalDivergence(event, nr);
+                fatalDivergence(DivergenceCheck::ContentHash, my_hash,
+                                event.payload);
             }
         }
 
@@ -1208,10 +1026,6 @@ Monitor::handleExit(int tuple, long nr, const std::uint64_t args[6])
 void
 Monitor::finishVariant(int status)
 {
-    if (flusher_thread_.joinable()) {
-        flusher_stop_.store(true, std::memory_order_release);
-        flusher_thread_.join();
-    }
     VariantSlot &slot = cb_->variants[config_.variant_id];
     std::uint32_t running =
         static_cast<std::uint32_t>(VariantState::Running);

@@ -331,9 +331,6 @@ Nvx::zygoteMain()
                                      config_.rewrite_rules.end());
             config.progress_timeout_ns = config_.ring.progress_timeout_ns;
             config.tick_ns = config_.ring.tick_ns;
-            config.coalesce_publish = config_.coalesce.enabled;
-            config.coalesce_max = config_.tuning.coalesce_run;
-            config.coalesce_window_ns = config_.tuning.coalesce_window_ns;
             config.resync_clock = restart_spawn;
             Monitor *monitor =
                 Monitor::initVariant(&region_, layout_, &channels_,
@@ -832,18 +829,6 @@ std::uint64_t
 Nvx::fdTransfers() const
 {
     return controlBlock()->fd_transfers.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Nvx::publishBatches() const
-{
-    return controlBlock()->publish_batches.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Nvx::eventsCoalesced() const
-{
-    return controlBlock()->events_coalesced.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

@@ -38,10 +38,6 @@ collectStatus(const shmem::Region *region, const EngineLayout &layout)
     report.divergences_fatal =
         cb->divergences_fatal.load(std::memory_order_relaxed);
     report.fd_transfers = cb->fd_transfers.load(std::memory_order_relaxed);
-    report.publish_batches =
-        cb->publish_batches.load(std::memory_order_relaxed);
-    report.events_coalesced =
-        cb->events_coalesced.load(std::memory_order_relaxed);
 
     const std::uint32_t tuples =
         report.num_tuples < kMaxTuples ? report.num_tuples : kMaxTuples;
@@ -88,10 +84,6 @@ collectStatus(const shmem::Region *region, const EngineLayout &layout)
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::ShipBatch));
     report.tuning.credit_window =
         static_cast<std::uint32_t>(liveKnob(tuning, Knob::CreditWindow));
-    report.tuning.coalesce_run =
-        static_cast<std::uint32_t>(liveKnob(tuning, Knob::CoalesceRun));
-    report.tuning.coalesce_window_ns =
-        liveKnob(tuning, Knob::CoalesceWindowNs);
 
     const trace::TraceBlock &tb = cb->trace;
     report.trace.enabled = tb.enabled.load(std::memory_order_relaxed);
@@ -100,7 +92,6 @@ collectStatus(const shmem::Region *region, const EngineLayout &layout)
     report.trace.ledger_records =
         tb.ledger_head.load(std::memory_order_relaxed);
     snapshotHistogram(tb.publish_lag, report.trace.publish_lag);
-    snapshotHistogram(tb.coalesce_dwell, report.trace.coalesce_dwell);
     snapshotHistogram(tb.credit_stall, report.trace.credit_stall);
     snapshotHistogram(tb.blackout, report.trace.blackout);
     // Tail of the divergence ledger, oldest first.
@@ -237,11 +228,6 @@ statusText(const StatusReport &report)
            "Fatal divergences", report.divergences_fatal);
     metric(out, "varan_fd_transfers_total", "counter",
            "Descriptor transfers to followers", report.fd_transfers);
-    metric(out, "varan_publish_batches_total", "counter",
-           "Coalesced publish flushes", report.publish_batches);
-    metric(out, "varan_events_coalesced_total", "counter",
-           "Events shipped through coalesced runs",
-           report.events_coalesced);
 
     // Per-variant series.
     variantMetric(out, "varan_variant_state", "gauge",
@@ -349,11 +335,6 @@ statusText(const StatusReport &report)
     metric(out, "varan_tuning_credit_window", "gauge",
            "Live credit window (unacked events per tuple per peer)",
            report.tuning.credit_window);
-    metric(out, "varan_tuning_coalesce_run", "gauge",
-           "Live publish-coalescing run cap", report.tuning.coalesce_run);
-    metric(out, "varan_tuning_coalesce_window_ns", "gauge",
-           "Live coalesce staleness window (ns)",
-           report.tuning.coalesce_window_ns);
 
     // Observability: flight recorder, latency histograms, divergence
     // ledger. Every metric name added here must be documented in
@@ -370,9 +351,6 @@ statusText(const StatusReport &report)
     histogramMetric(out, "varan_publish_lag_ns",
                     "Event creation to follower dispatch (sampled 1-in-64)",
                     report.trace.publish_lag);
-    histogramMetric(out, "varan_coalesce_dwell_ns",
-                    "First coalesced add to batch flush",
-                    report.trace.coalesce_dwell);
     histogramMetric(out, "varan_credit_stall_ns",
                     "Wire drain stalled on a closed credit window",
                     report.trace.credit_stall);

@@ -114,9 +114,6 @@ struct RecorderStatus {
 struct TuningStatus {
     std::uint32_t ship_batch;
     std::uint32_t credit_window;
-    std::uint32_t coalesce_run;
-    std::uint32_t reserved;
-    std::uint64_t coalesce_window_ns;
 };
 
 /** One log2-bucket latency histogram, snapshotted from the shared
@@ -130,17 +127,16 @@ struct HistogramStatus {
     std::uint64_t count;
 };
 
-/** Observability snapshot: flight-recorder state, the four event-path
+/** Observability snapshot: flight-recorder state, the three event-path
  *  latency histograms and the tail of the divergence ledger. */
 struct TraceStatus {
     std::uint32_t enabled;        ///< flight recorder + histograms on
     std::uint32_t recent_count;   ///< valid entries in recent[]
     std::uint64_t trace_records;  ///< flight-recorder stamps written
     std::uint64_t ledger_records; ///< divergence ledger appends
-    HistogramStatus publish_lag;    ///< event creation -> follower dispatch
-    HistogramStatus coalesce_dwell; ///< first add -> coalesced flush
-    HistogramStatus credit_stall;   ///< wire credit-window stall spans
-    HistogramStatus blackout;       ///< leader death -> first dispatch
+    HistogramStatus publish_lag;  ///< event creation -> follower dispatch
+    HistogramStatus credit_stall; ///< wire credit-window stall spans
+    HistogramStatus blackout;     ///< leader death -> first dispatch
     /** The most recent divergence ledger entries, oldest first. */
     static constexpr std::uint32_t kRecent = 4;
     trace::DivergenceRecord recent[kRecent];
@@ -163,8 +159,10 @@ struct StatusReport {
     std::uint64_t divergences_resolved;
     std::uint64_t divergences_fatal;
     std::uint64_t fd_transfers;
-    std::uint64_t publish_batches;   ///< coalesced flushes
-    std::uint64_t events_coalesced;  ///< events shipped batched
+    /** Always 0: varanbench reads it; its next change deletes it. */
+    std::uint64_t publish_batches;
+    /** Always 0: varanbench reads it; its next change deletes it. */
+    std::uint64_t events_coalesced;
 
     VariantStatus variants[kMaxVariants];
     shmem::PoolStats pool;           ///< per-arena pressure + spills

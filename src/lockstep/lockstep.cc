@@ -19,6 +19,10 @@ namespace {
 
 constexpr std::size_t kMaxInline = 8192; ///< buffer bytes per message
 
+/** How long variants get to exit on their own before the monitor
+ *  kills their process groups. */
+constexpr std::uint64_t kReapGraceNs = 250000000; // 250 ms
+
 enum class MsgKind : std::uint32_t {
     Request = 1,  ///< variant -> monitor: about to make a syscall
     GoLocal,      ///< monitor -> variant: execute it yourself
@@ -434,26 +438,42 @@ LockstepEngine::run(std::vector<VariantFn> variants)
         }
     }
 
-    // Kill every variant process group before reaping, unconditionally.
-    // A variant the monitor considers dead (socket error) may still be
-    // running — e.g. it forked helpers that share its socket and broke
-    // the protocol — and a variant parked in recvmsg never exits on its
-    // own; either would wedge the blocking waitpid below forever.
-    for (std::size_t v = 0; v < n; ++v) {
-        if (pids[v] > 0)
-            ::kill(-pids[v], SIGKILL);
-    }
-
+    // Reap in two steps. First poll with WNOHANG for a short grace
+    // period: a follower just sent Killed is on its way to _exit(73),
+    // and a SIGKILL now would overwrite that status. Then kill the
+    // process group of every variant: one still running may be parked
+    // in recvmsg, or have forked helpers that share its socket and
+    // broke the protocol, and would wedge the blocking waitpid below
+    // forever; an exited one may have left such helpers behind.
     std::vector<VariantResult> results(n);
+    std::vector<bool> reaped(n, false);
+    auto reap = [&](std::size_t v, int flags) {
+        int status = 0;
+        if (::waitpid(pids[v], &status, flags) != pids[v])
+            return;
+        reaped[v] = true;
+        results[v].crashed = WIFSIGNALED(status);
+        results[v].status = WIFSIGNALED(status) ? 128 + WTERMSIG(status)
+                                                : WEXITSTATUS(status);
+    };
+    const std::uint64_t grace_end = monotonicNs() + kReapGraceNs;
+    for (;;) {
+        bool all_reaped = true;
+        for (std::size_t v = 0; v < n; ++v) {
+            if (!reaped[v])
+                reap(v, WNOHANG);
+            all_reaped = all_reaped && reaped[v];
+        }
+        if (all_reaped || monotonicNs() >= grace_end)
+            break;
+        sleepNs(1000000);
+    }
     for (std::size_t v = 0; v < n; ++v) {
         results[v].variant = static_cast<int>(v);
-        int status = 0;
-        if (::waitpid(pids[v], &status, 0) == pids[v]) {
-            results[v].crashed = WIFSIGNALED(status);
-            results[v].status = WIFSIGNALED(status)
-                                    ? 128 + WTERMSIG(status)
-                                    : WEXITSTATUS(status);
-        }
+        if (pids[v] > 0)
+            ::kill(-pids[v], SIGKILL);
+        if (!reaped[v])
+            reap(v, 0);
     }
     return results;
 }

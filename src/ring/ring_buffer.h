@@ -112,9 +112,8 @@ class RingBuffer
     /** Sequence number the next publish will use. */
     std::uint64_t headSeq() const;
 
-    /** Consumers currently asleep in the waitlock (publish-side hint:
-     *  a sleeping consumer wants events now, so coalescing should
-     *  flush rather than hold a pending run back). */
+    /** Consumers currently announced in the waitlock (asleep or about
+     *  to sleep); zero once every waiter has withdrawn. */
     std::uint32_t consumersWaiting() const;
 
     // --- consumer side ---
@@ -150,34 +149,26 @@ class RingBuffer
      * round. Slots are released to the producer immediately, so callers
      * must not touch pool payloads referenced by the returned events
      * after further production (copy them out first, or use
-     * peek()/advance() for payload-carrying streams).
+     * peekBatch()/advanceBy() for payload-carrying streams).
      * @return events copied; 0 on deadline expiry.
      */
     std::size_t consumeBatch(int id, Event *out, std::size_t max,
                              const WaitSpec &wait = {});
 
     /**
-     * Two-phase consumption: peek() copies the next event without
-     * advancing, so the consumer can finish reading any pool payload it
-     * references before advance() releases the slot back to the
-     * producer (which may free the payload when the slot is reused).
-     */
-    bool peek(int id, Event *out, const WaitSpec &wait = {});
-
-    /** Complete a peek(); advances exactly one event. */
-    void advance(int id);
-
-    /**
-     * Non-advancing batched read: waits (per @p wait) for at least one
+     * Two-phase consumption: waits (per @p wait) for at least one
      * event, then copies min(available, max) without moving the cursor.
      * The copied run stays claimed until advance()/advanceBy() releases
      * it, so pool payloads referenced by the events remain valid while
-     * the consumer works through the run — the batched equivalent of
-     * peek() for payload-carrying streams.
+     * the consumer works through the run (the producer may free a
+     * payload once its slot is reused).
      * @return events copied; 0 on deadline expiry.
      */
     std::size_t peekBatch(int id, Event *out, std::size_t max,
                           const WaitSpec &wait = {});
+
+    /** Complete one event of a peekBatch(). */
+    void advance(int id);
 
     /** Complete (part of) a peekBatch(): advance @p n events at once. */
     void advanceBy(int id, std::size_t n);
@@ -227,125 +218,6 @@ class RingBuffer
 
     const shmem::Region *region_ = nullptr;
     shmem::Offset off_ = 0;
-};
-
-/**
- * Leader-side publish coalescing (DMON-style relaxed shipping).
- *
- * The leader's syscall dispatch publishes one event per call; for runs
- * of payload-free events that is one head store and one futex wake
- * each. A PublishCoalescer instead accumulates such events in a
- * process-local pending run and flushes them through the two-phase
- * claim()/commit() path: one synchronization round per run, however
- * long the run grew.
- *
- * The caller decides *when* to flush (run full is handled internally;
- * ordering fences — payload events, descriptor transfers, blocking
- * system calls, tuple openings — are the caller's policy). A recycler
- * hook runs after claim() and before commit() for every flushed chunk,
- * which is where the payload-shadow bookkeeping of the monitor slots
- * in: by claim-time the gating protocol guarantees all consumers have
- * left the claimed slots, so their old payloads are safe to release.
- *
- * Single-producer, like the ring itself: one coalescer per tuple ring,
- * used only by the thread that owns the producer side.
- */
-class PublishCoalescer
-{
-  public:
-    static constexpr std::size_t kMaxPending = 64;
-
-    PublishCoalescer() = default;
-
-    /** Recycler: called with the first claimed sequence and the chunk
-     *  length before the chunk becomes visible to consumers. */
-    using SlotRecycler = void (*)(void *ctx, std::uint64_t first_seq,
-                                  std::size_t count);
-
-    void
-    reset(RingBuffer *ring, std::size_t max_pending = 16,
-          SlotRecycler recycler = nullptr, void *recycler_ctx = nullptr)
-    {
-        ring_ = ring;
-        max_pending_ = max_pending < kMaxPending ? max_pending
-                                                 : kMaxPending;
-        if (max_pending_ == 0)
-            max_pending_ = 1;
-        recycler_ = recycler;
-        recycler_ctx_ = recycler_ctx;
-        live_limit_ = nullptr;
-        count_.store(0, std::memory_order_relaxed);
-    }
-
-    /** Pending run length. Safe to read from a thread that does not
-     *  own the producer side (the time-based flusher polls it before
-     *  taking the producer lock); everything else on this class is
-     *  producer-side only. */
-    std::size_t
-    pending() const
-    {
-        return count_.load(std::memory_order_acquire);
-    }
-
-    std::size_t maxPending() const { return max_pending_; }
-
-    /**
-     * Bind the run cap to a live atomic (a `Tuning` knob in the shared
-     * region): every add() re-reads it, so retuning the coalesce run
-     * length mid-stream takes effect at the next event — no reset, no
-     * restart. max_pending_ (and kMaxPending) stay the hard ceiling;
-     * a zero or over-large live value is clamped, never trusted.
-     */
-    void
-    bindLiveLimit(const std::atomic<std::uint64_t> *limit)
-    {
-        live_limit_ = limit;
-    }
-
-    /** The run cap in force right now: the live knob when bound
-     *  (clamped to [1, maxPending()]), else maxPending(). */
-    std::size_t
-    effectiveMax() const
-    {
-        if (live_limit_ == nullptr)
-            return max_pending_;
-        std::uint64_t live =
-            live_limit_->load(std::memory_order_relaxed);
-        if (live < 1)
-            return 1;
-        if (live > max_pending_)
-            return max_pending_;
-        return static_cast<std::size_t>(live);
-    }
-
-    /** Append one event; auto-flushes first when the run is full.
-     *  @return false if a required flush timed out (event not added). */
-    bool
-    add(const Event &event, const WaitSpec &wait = {})
-    {
-        std::size_t count = count_.load(std::memory_order_relaxed);
-        if (count >= effectiveMax()) {
-            if (!flush(wait))
-                return false;
-            count = 0;
-        }
-        pending_[count] = event;
-        count_.store(count + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Publish the pending run: one claim/commit per ring-capacity
-     *  chunk. @return false on deadline expiry (run kept). */
-    bool flush(const WaitSpec &wait = {});
-
-  private:
-    RingBuffer *ring_ = nullptr;
-    SlotRecycler recycler_ = nullptr;
-    void *recycler_ctx_ = nullptr;
-    const std::atomic<std::uint64_t> *live_limit_ = nullptr;
-    std::size_t max_pending_ = 16;
-    std::atomic<std::size_t> count_{0};
-    Event pending_[kMaxPending];
 };
 
 } // namespace varan::ring

@@ -173,16 +173,6 @@ buildTable()
     set(SYS_socketpair, "socketpair", FdCreating);
     t[SYS_socketpair].fd_array_arg = 3;
 
-    // Calls that can wait indefinitely on external input: the leader
-    // must drain any coalesced publish run before entering them.
-    for (long nr : {SYS_read, SYS_pread64, SYS_recvfrom, SYS_poll,
-                    SYS_select, SYS_epoll_wait, SYS_epoll_pwait,
-                    SYS_accept, SYS_accept4, SYS_connect, SYS_nanosleep,
-                    SYS_clock_nanosleep, SYS_flock, SYS_wait4,
-                    SYS_futex}) {
-        t[static_cast<std::size_t>(nr)].may_block = true;
-    }
-
     // --- virtual system calls (section 3.2.1) ---
     set(SYS_time, "time", Virtual, outFixed(0, 8));
     set(SYS_gettimeofday, "gettimeofday", Virtual, outFixed(0, 16));

@@ -61,11 +61,6 @@ struct SyscallInfo {
     SyscallClass cls = SyscallClass::Unhandled;
     OutBufferSpec out[2] = {};     ///< up to two OUT buffers
     std::int8_t fd_array_arg = -1; ///< pipe/socketpair: int[2] argument
-    /** Can wait indefinitely on external input (read, accept, poll,
-     *  ...). The leader flushes any coalesced publish run before
-     *  executing such a call — otherwise buffered events would starve
-     *  the followers for as long as the call blocks. */
-    bool may_block = false;
 };
 
 /** Highest syscall number the table covers. */

@@ -125,10 +125,8 @@ renderStatus(const core::StatusReport &report)
                 : static_cast<int>(report.leader),
             report.epoch, report.stream_generation, report.num_tuples);
     appendf(out,
-            "stream: %" PRIu64 " events, %" PRIu64 " coalesced in %" PRIu64
-            " batches, %" PRIu64 " fd transfers\n",
-            report.events_streamed, report.events_coalesced,
-            report.publish_batches, report.fd_transfers);
+            "stream: %" PRIu64 " events, %" PRIu64 " fd transfers\n",
+            report.events_streamed, report.fd_transfers);
     appendf(out,
             "divergences: %" PRIu64 " resolved, %" PRIu64 " fatal, "
             "%" PRIu64 " ledger record(s)\n",
@@ -205,7 +203,6 @@ renderHistograms(const core::StatusReport &report)
 {
     std::string out;
     appendHistogram(out, "publish_lag", report.trace.publish_lag);
-    appendHistogram(out, "coalesce_dwell", report.trace.coalesce_dwell);
     appendHistogram(out, "credit_stall", report.trace.credit_stall);
     appendHistogram(out, "blackout", report.trace.blackout);
     return out;
@@ -215,10 +212,8 @@ std::string
 renderTuning(const core::StatusReport &report)
 {
     std::string out;
-    appendf(out, "ship_batch=%u credit_window=%u coalesce_run=%u "
-                 "coalesce_window_ns=%" PRIu64 "\n",
-            report.tuning.ship_batch, report.tuning.credit_window,
-            report.tuning.coalesce_run, report.tuning.coalesce_window_ns);
+    appendf(out, "ship_batch=%u credit_window=%u\n",
+            report.tuning.ship_batch, report.tuning.credit_window);
     return out;
 }
 

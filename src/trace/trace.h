@@ -42,7 +42,6 @@ namespace varan::trace {
 enum class Stage : std::uint16_t {
     None = 0,
     LeaderPublish,    ///< leader published an event (sampled)
-    CoalesceFlush,    ///< coalesced run flushed to the ring
     FollowerDispatch, ///< follower dispatched an event (sampled)
     ShipperDrain,     ///< shipper drained a frame off a tuple ring
     ReceiverPublish,  ///< receiver re-published a frame locally
@@ -57,7 +56,6 @@ stageName(Stage s)
     switch (s) {
       case Stage::None:             return "none";
       case Stage::LeaderPublish:    return "leader_publish";
-      case Stage::CoalesceFlush:    return "coalesce_flush";
       case Stage::FollowerDispatch: return "follower_dispatch";
       case Stage::ShipperDrain:     return "shipper_drain";
       case Stage::ReceiverPublish:  return "receiver_publish";
@@ -201,10 +199,9 @@ struct TraceBlock {
     TraceRecord records[kTraceRecords];
 
     // --- latency histograms (all in nanoseconds) ---
-    Histogram publish_lag;    ///< leader publish → follower dispatch
-    Histogram coalesce_dwell; ///< first add → flush of a coalesced run
-    Histogram credit_stall;   ///< wire drain blocked on a closed window
-    Histogram blackout;       ///< leader death → first promoted publish
+    Histogram publish_lag;  ///< leader publish → follower dispatch
+    Histogram credit_stall; ///< wire drain blocked on a closed window
+    Histogram blackout;     ///< leader death → first promoted publish
 
     // --- divergence ledger ---
     std::atomic<std::uint64_t> ledger_head; ///< total records ever claimed

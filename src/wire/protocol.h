@@ -96,7 +96,10 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v7: the Status body's live-tuning section shrank to the four knob
+/** v8: the leader's batched publish mode is gone, so the Status body
+ *  lost its two knob values (TuningStatus) and its dwell histogram
+ *  (TraceStatus).
+ *  v7: the Status body's live-tuning section shrank to the four knob
  *  values (TuningStatus): the adaptive-controller counters, the pin
  *  mask and the top-k fast-path fields are gone.
  *  v6: the quorum control plane — Lease/Vote/Fence frames carry
@@ -120,11 +123,11 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 7;
+inline constexpr std::uint16_t kProtocolVersion = 8;
 
 // The Status frame body is a raw StatusReport. A layout change must bump
 // kProtocolVersion and update docs/WIRE_PROTOCOL.md, then this size.
-static_assert(sizeof(core::StatusReport) == 2600,
+static_assert(sizeof(core::StatusReport) == 2312,
               "StatusReport layout changed: bump kProtocolVersion and "
               "update the Status body size in docs/WIRE_PROTOCOL.md");
 

@@ -302,7 +302,7 @@ Receiver::publishRun(std::uint32_t tuple, ring::Event *events,
     // The batched mirror of the shipper's relaxed shipping: one
     // claim/commit — one head store, one wake — per ring chunk rather
     // than per event. Shadow recycling per claimed slot, exactly like
-    // the leader-side coalesced path.
+    // the leader's publishEvent.
     core::ControlBlock *cb = layout_->controlBlock(region_);
     shmem::ShardedPool pool = layout_->pool(region_);
     ring::RingBuffer ring = layout_->tupleRing(region_, tuple);

@@ -45,8 +45,7 @@
  * toward the surviving nodes, with the bumped generation in its
  * Hello. External effects between the dead leader's last shipped
  * frame and the promotion are re-executed by the new leader —
- * the same at-least-once window as local publish coalescing,
- * documented in docs/ARCHITECTURE.md.
+ * an at-least-once window documented in docs/ARCHITECTURE.md.
  *
  * Duplicate suppression makes the link at-least-once-safe: the
  * receiver tracks the next expected ring sequence per tuple, drops the

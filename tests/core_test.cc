@@ -13,6 +13,7 @@
  */
 
 #include <atomic>
+#include <cstdio>
 #include <fcntl.h>
 #include <memory>
 #include <poll.h>
@@ -460,10 +461,27 @@ TEST(NvxTest, WriteContentDivergenceIsDetected)
         return 0;
     };
     Nvx nvx(fastConfig());
+    testing::internal::CaptureStderr();
     auto results = nvx.run({app, app});
+    const std::string log = testing::internal::GetCapturedStderr();
     EXPECT_FALSE(results[0].crashed);
     EXPECT_TRUE(results[1].crashed) << "content divergence missed";
     EXPECT_EQ(readExactly(fds[0], 5), "good.");
+    // The fatal line names the failed check and both FNV-1a hashes.
+    auto fnv1a = [](const char *p, std::size_t n) {
+        std::uint32_t h = 2166136261u;
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= static_cast<unsigned char>(p[i]);
+            h *= 16777619u;
+        }
+        return h;
+    };
+    char want[128];
+    std::snprintf(want, sizeof(want),
+                  "failed the content hash check (follower 0x%08x, "
+                  "leader streamed 0x%08x)",
+                  fnv1a("EVIL!", 5), fnv1a("good.", 5));
+    EXPECT_NE(log.find(want), std::string::npos) << log;
     ::close(fds[0]);
     ::close(fds[1]);
 }
@@ -593,28 +611,24 @@ TEST(NvxTest, SlowFollowerIsBoundedByRingCapacity)
         EXPECT_FALSE(r.crashed);
 }
 
-TEST(NvxTest, CoalescedPublishReplicatesExactly)
+TEST(NvxTest, InterleavedWritesReplicateExactly)
 {
-    // The DMON-style relaxed mode: payload-free events ship in batched
-    // runs. Replication semantics must be indistinguishable from the
-    // per-event path when nobody crashes.
+    // Hashed write events interleave with payload-free identity calls;
+    // every variant replays the mix and the leader's writes land
+    // exactly once, in order.
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
-    EngineConfig config = fastConfig();
-    config.coalesce.enabled = true;
     auto app = [fds]() -> int {
         long pid = sys::vgetpid();
         for (int i = 0; i < 26; ++i) {
             char c = static_cast<char>('a' + i);
             sys::vwrite(fds[1], &c, 1);
-            // Payload-free identity calls interleave with the writes
-            // so runs mix hashed and plain events.
             if (sys::vgetpid() != pid)
                 return 77;
         }
         return 0;
     };
-    Nvx nvx(config);
+    Nvx nvx(fastConfig());
     auto results = nvx.run({app, app, app});
     for (const auto &r : results) {
         EXPECT_FALSE(r.crashed) << "variant " << r.variant;
@@ -626,62 +640,6 @@ TEST(NvxTest, CoalescedPublishReplicatesExactly)
     EXPECT_EQ(::poll(&pfd, 1, 200), 0) << "duplicated writes";
     ::close(fds[0]);
     ::close(fds[1]);
-
-    // The batched path actually ran: runs flushed with fewer head
-    // stores than events.
-    EXPECT_GT(nvx.eventsCoalesced(), 0u);
-    EXPECT_GT(nvx.publishBatches(), 0u);
-    EXPECT_GE(nvx.eventsCoalesced(), nvx.publishBatches());
-    EXPECT_GE(nvx.eventsStreamed(), nvx.eventsCoalesced());
-}
-
-TEST(NvxTest, CoalescedRunsFlushBeforeBlockingCalls)
-{
-    // A read on an empty pipe blocks the leader until the follower-fed
-    // byte below arrives... here simpler: the leader writes, then
-    // blocks in read on a second pipe serviced by the test. Pending
-    // coalesced events must flush before the blocking read, or the
-    // followers would never see the writes while the leader sleeps.
-    int out[2], in[2];
-    ASSERT_EQ(::pipe(out), 0);
-    ASSERT_EQ(::pipe(in), 0);
-    EngineConfig config = fastConfig();
-    config.coalesce.enabled = true;
-    // A window far larger than the test runtime: only the may_block
-    // barrier can flush in time.
-    config.tuning.coalesce_window_ns = 60000000000ULL;
-    config.tuning.coalesce_run = 64;
-    auto app = [out, in]() -> int {
-        for (int i = 0; i < 5; ++i) {
-            char c = static_cast<char>('0' + i);
-            sys::vwrite(out[1], &c, 1);
-        }
-        char ack = 0;
-        if (sys::vread(in[0], &ack, 1) != 1 || ack != 'k')
-            return 78;
-        return 0;
-    };
-    Nvx nvx(config);
-    ASSERT_TRUE(nvx.start({app, app}).isOk());
-    EXPECT_EQ(readExactly(out[0], 5), "01234");
-    // The leader is now parked in read(). The five write events must
-    // have been *published* (not merely executed) before it blocked —
-    // the flush-before-blocking barrier — or the follower would sit
-    // starved behind a pending run for the whole 60 s window.
-    std::uint64_t deadline = monotonicNs() + 5000000000ULL;
-    while (nvx.eventsStreamed() < 5 && monotonicNs() < deadline)
-        sleepNs(1000000);
-    EXPECT_GE(nvx.eventsStreamed(), 5u);
-    ASSERT_EQ(::write(in[1], "k", 1), 1);
-    auto results = nvx.wait();
-    for (const auto &r : results) {
-        EXPECT_FALSE(r.crashed);
-        EXPECT_EQ(r.status, 0);
-    }
-    ::close(out[0]);
-    ::close(out[1]);
-    ::close(in[0]);
-    ::close(in[1]);
 }
 
 TEST(NvxTest, MultiTupleRunsUseDistinctPoolArenas)
@@ -730,51 +688,6 @@ TEST(NvxTest, MultiTupleRunsUseDistinctPoolArenas)
     }
     // Healthy arenas never fall back to the shared one.
     EXPECT_EQ(nvx.poolSpills(), 0u);
-}
-
-TEST(NvxTest, CoalescedRunFlushesOnComputeBoundLeader)
-{
-    // A leader that goes compute-bound dispatches no further syscalls,
-    // so no barrier path can flush its pending run — only the
-    // time-based flusher can. The app publishes five payload-free
-    // events, then spins on a shared flag the test raises only once
-    // the events became visible to the engine.
-    auto *flag = static_cast<std::atomic<std::uint32_t> *>(
-        ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
-    ASSERT_NE(flag, MAP_FAILED);
-    new (flag) std::atomic<std::uint32_t>(0);
-
-    EngineConfig config = fastConfig();
-    config.coalesce.enabled = true;
-    config.tuning.coalesce_run = 64;        // five events never fill the run
-    config.tuning.coalesce_window_ns = 50000000; // 50 ms staleness cap
-    auto app = [flag]() -> int {
-        for (int i = 0; i < 5; ++i)
-            sys::vgetpid();
-        // Compute-bound phase: no syscalls at all.
-        while (flag->load(std::memory_order_acquire) == 0) {
-        }
-        return 0;
-    };
-    Nvx nvx(config);
-    ASSERT_TRUE(nvx.start({app, app}).isOk());
-
-    // Without the flusher this loops to the deadline: the run would sit
-    // in the coalescer while the leader spins.
-    std::uint64_t deadline = monotonicNs() + 5000000000ULL;
-    while (nvx.eventsStreamed() < 5 && monotonicNs() < deadline)
-        sleepNs(1000000);
-    EXPECT_GE(nvx.eventsStreamed(), 5u)
-        << "stale coalesced run never flushed";
-
-    flag->store(1, std::memory_order_release);
-    auto results = nvx.wait();
-    for (const auto &r : results) {
-        EXPECT_FALSE(r.crashed);
-        EXPECT_EQ(r.status, 0);
-    }
-    ::munmap(flag, 4096);
 }
 
 TEST(NvxTest, ManyTuplesFdTransferStress)

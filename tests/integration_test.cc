@@ -50,7 +50,7 @@ randomWorkload(std::uint64_t seed, int steps)
     };
     std::uint64_t acc = 0;
     int open_fd = -1;
-    char buf[256];
+    char buf[256] = {};
     for (int i = 0; i < steps; ++i) {
         switch (next() % 6) {
           case 0:

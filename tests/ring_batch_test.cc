@@ -381,149 +381,6 @@ TEST_F(RingBatchTest, AdvanceByWakesBlockedProducer)
     ring_.advanceBy(id, 2);
 }
 
-// --- leader-side publish coalescing ---
-
-TEST_F(RingBatchTest, CoalescerHoldsRunUntilFlush)
-{
-    init(16);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    PublishCoalescer co;
-    co.reset(&ring_, 8);
-
-    for (std::uint64_t i = 1; i <= 5; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-    EXPECT_EQ(co.pending(), 5u);
-    EXPECT_EQ(ring_.headSeq(), 0u); // nothing visible yet
-
-    ASSERT_TRUE(co.flush());
-    EXPECT_EQ(co.pending(), 0u);
-    Event out[16];
-    ASSERT_EQ(ring_.pollBatch(id, out, 16), 5u);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(out[i].timestamp, i + 1);
-}
-
-TEST_F(RingBatchTest, CoalescerAutoFlushesWhenRunFills)
-{
-    init(16);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    PublishCoalescer co;
-    co.reset(&ring_, 4);
-
-    for (std::uint64_t i = 1; i <= 5; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-    // The 5th add overflowed the run of 4: the first run shipped.
-    EXPECT_EQ(co.pending(), 1u);
-    EXPECT_EQ(ring_.headSeq(), 4u);
-    ASSERT_TRUE(co.flush());
-    Event out[16];
-    ASSERT_EQ(ring_.pollBatch(id, out, 16), 5u);
-    EXPECT_EQ(out[4].timestamp, 5u);
-}
-
-TEST_F(RingBatchTest, CoalescerRunsLargerThanRingChunk)
-{
-    init(4);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    PublishCoalescer co;
-    co.reset(&ring_, 16);
-    for (std::uint64_t i = 1; i <= 10; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-
-    std::thread consumer([&] {
-        Event out[4];
-        WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
-        w.spin_iterations = 64;
-        std::uint64_t next = 1;
-        while (next <= 10) {
-            std::size_t n = ring_.consumeBatch(id, out, 4, w);
-            ASSERT_GT(n, 0u);
-            for (std::size_t i = 0; i < n; ++i, ++next)
-                ASSERT_EQ(out[i].timestamp, next);
-        }
-    });
-    WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
-    EXPECT_TRUE(co.flush(w));
-    consumer.join();
-}
-
-TEST_F(RingBatchTest, CoalescerRecyclerSeesEveryClaimedChunk)
-{
-    init(8);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-
-    struct Seen {
-        std::vector<std::pair<std::uint64_t, std::size_t>> chunks;
-    } seen;
-    PublishCoalescer co;
-    co.reset(
-        &ring_, 16,
-        [](void *ctx, std::uint64_t first_seq, std::size_t count) {
-            static_cast<Seen *>(ctx)->chunks.emplace_back(first_seq,
-                                                          count);
-        },
-        &seen);
-
-    // First flush: 6 events in one chunk starting at seq 0.
-    for (std::uint64_t i = 1; i <= 6; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-    Event out[8];
-    std::thread consumer([&] {
-        WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
-        std::size_t got = 0;
-        while (got < 12)
-            got += ring_.consumeBatch(id, out, 8, w);
-    });
-    WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
-    ASSERT_TRUE(co.flush(w));
-    // Second flush: 6 more, wrapping the capacity-8 ring.
-    for (std::uint64_t i = 7; i <= 12; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-    ASSERT_TRUE(co.flush(w));
-    consumer.join();
-
-    ASSERT_GE(seen.chunks.size(), 2u);
-    EXPECT_EQ(seen.chunks[0].first, 0u);
-    EXPECT_EQ(seen.chunks[0].second, 6u);
-    // Chunks cover seq 0..11 contiguously.
-    std::uint64_t expect = 0;
-    std::size_t total = 0;
-    for (auto [seq, n] : seen.chunks) {
-        EXPECT_EQ(seq, expect);
-        expect += n;
-        total += n;
-    }
-    EXPECT_EQ(total, 12u);
-}
-
-TEST_F(RingBatchTest, CoalescerKeepsRunOnFlushTimeout)
-{
-    init(4);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 4)), 4u); // ring full
-
-    PublishCoalescer co;
-    co.reset(&ring_, 8);
-    for (std::uint64_t i = 5; i <= 7; ++i)
-        ASSERT_TRUE(co.add(makeEvent(i, 0, 0)));
-    WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
-    w.spin_iterations = 16;
-    EXPECT_FALSE(co.flush(w));
-    EXPECT_EQ(co.pending(), 3u); // nothing lost
-
-    Event out[8];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 8), 4u);
-    ASSERT_TRUE(co.flush(w));
-    ASSERT_EQ(ring_.consumeBatch(id, out, 8, w), 3u);
-    EXPECT_EQ(out[0].timestamp, 5u);
-    EXPECT_EQ(out[2].timestamp, 7u);
-}
-
 // --- SPSC queue + pump batch ops ---
 
 class SpscBatchTest : public ::testing::Test

@@ -2,11 +2,10 @@
  * @file
  * Live tuning tests: the Tuning surface (clamping, set/snapshot,
  * first-seeder-wins seeding), live knob re-reads by the wire shipper
- * and the publish coalescer mid-run (no restart), the promoted-shipper
+ * mid-run (no restart), the promoted-shipper
  * knob-adoption regression, the unsolicited Status push, and the
  * engine-level guarantee: a Tuning write through Nvx::tuning() is
- * visible in the very next StatusReport and statusText(), and in what
- * the running engine does.
+ * visible in the very next StatusReport and statusText().
  */
 
 #include <sys/socket.h>
@@ -39,9 +38,7 @@ TEST(TuningTest, ClampEnforcesFloorsAndCeilings)
     EXPECT_EQ(core::clampKnob(Knob::ShipBatch, 0), 1u);
     EXPECT_EQ(core::clampKnob(Knob::ShipBatch, 1000), 64u);
     EXPECT_EQ(core::clampKnob(Knob::CreditWindow, 1), 64u);
-    EXPECT_EQ(core::clampKnob(Knob::CoalesceRun, 9999), 64u);
-    EXPECT_EQ(core::clampKnob(Knob::CoalesceWindowNs, 1), 10000u);
-    EXPECT_EQ(core::clampKnob(Knob::CoalesceWindowNs, ~0ULL), 100000000u);
+    EXPECT_EQ(core::clampKnob(Knob::CreditWindow, ~0ULL), 1u << 20);
 }
 
 TEST(TuningTest, HandleSetClampsAndSnapshots)
@@ -55,12 +52,11 @@ TEST(TuningTest, HandleSetClampsAndSnapshots)
 
     handle.set(Knob::ShipBatch, 1000); // clamped to the ceiling
     EXPECT_EQ(handle.get(Knob::ShipBatch), 64u);
-    handle.coalesceRun(32);
+    handle.creditWindow(1024);
 
     Tuning snap = handle.snapshot();
     EXPECT_EQ(snap.ship_batch, 64u);
-    EXPECT_EQ(snap.coalesce_run, 32u);
-    EXPECT_EQ(snap.credit_window, Tuning{}.credit_window);
+    EXPECT_EQ(snap.credit_window, 1024u);
 }
 
 TEST(TuningTest, SeedingIsFirstWriterWins)
@@ -244,54 +240,6 @@ TEST(TuningWireTest, UnsolicitedStatusPushArrives)
     ::close(sv[1]);
 }
 
-// ---------------------------------------------- live coalescer run limit
-
-TEST(TuningRingTest, CoalescerRereadsLiveRunLimitPerAdd)
-{
-    auto r = shmem::Region::create(4 << 20);
-    ASSERT_TRUE(r.ok());
-    shmem::Region region = std::move(r.value());
-    shmem::Offset off =
-        region.carve(ring::RingBuffer::bytesRequired(64));
-    ring::RingBuffer ring = ring::RingBuffer::initialize(&region, off, 64);
-
-    std::atomic<std::uint64_t> live_limit{4};
-    ring::PublishCoalescer co;
-    co.reset(&ring, ring::PublishCoalescer::kMaxPending);
-    co.bindLiveLimit(&live_limit);
-    EXPECT_EQ(co.effectiveMax(), 4u);
-
-    ring::Event event = syscallEvent(1, 39, 0);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(co.add(event));
-    // The 4-run is full: the next add ships it first.
-    ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 4u);
-    EXPECT_EQ(co.pending(), 1u);
-
-    // Retune mid-run: the already-started coalescer honours the new
-    // limit on its very next add, no reset() required. Seven more adds
-    // accumulate a full 8-run (under the old limit of 4 they would
-    // have shipped twice already) ...
-    live_limit.store(8, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), 8u);
-    for (int i = 0; i < 7; ++i)
-        ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 4u); // nothing shipped yet
-    EXPECT_EQ(co.pending(), 8u);
-    // ... and the add that overflows it ships the whole 8-run.
-    ASSERT_TRUE(co.add(event));
-    EXPECT_EQ(ring.headSeq(), 12u);
-    EXPECT_EQ(co.pending(), 1u);
-
-    // Values beyond the storage ceiling clamp to kMaxPending.
-    live_limit.store(100000, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), ring::PublishCoalescer::kMaxPending);
-    // And zero (unseeded garbage) clamps to 1, never 0.
-    live_limit.store(0, std::memory_order_relaxed);
-    EXPECT_EQ(co.effectiveMax(), 1u);
-}
-
 // ------------------------------------------------------------ statusText
 
 TEST(StatusTextTest, RendersLiveKnobs)
@@ -299,7 +247,7 @@ TEST(StatusTextTest, RendersLiveKnobs)
     core::StatusReport report = {};
     report.num_variants = 2;
     report.tuning.ship_batch = 24;
-    report.tuning.coalesce_window_ns = 300000;
+    report.tuning.credit_window = 2048;
     report.variants[0].syscalls = 11;
     report.variants[1].syscalls = 13;
 
@@ -307,7 +255,7 @@ TEST(StatusTextTest, RendersLiveKnobs)
     EXPECT_NE(text.find("# TYPE varan_tuning_ship_batch gauge"),
               std::string::npos);
     EXPECT_NE(text.find("varan_tuning_ship_batch 24"), std::string::npos);
-    EXPECT_NE(text.find("varan_tuning_coalesce_window_ns 300000"),
+    EXPECT_NE(text.find("varan_tuning_credit_window 2048"),
               std::string::npos);
     EXPECT_NE(text.find("varan_variant_syscalls_total{variant=\"1\"} 13"),
               std::string::npos);
@@ -329,54 +277,33 @@ TEST(TuningEngineTest, LiveTuningVisibleInStatusWithoutRestart)
 {
     int gate[2];
     ASSERT_EQ(::pipe(gate), 0);
-    core::EngineConfig config = fastConfig();
-    // Publish coalescing on, seeded at a run cap of 1: until the
-    // retune below, every payload-free event ships as its own run.
-    config.coalesce.enabled = true;
-    config.tuning.coalesce_run = 1;
-    // A window far longer than the test: only the run cap closes runs.
-    config.tuning.coalesce_window_ns = 100000000;
-    core::Nvx nvx(config);
-    constexpr int kCalls = 256;
+    core::Nvx nvx(fastConfig());
     auto app = [gate]() -> int {
         char go = 0;
-        if (sys::vread(gate[0], &go, 1) != 1)
-            return 9;
-        // Post-retune work: payload-free calls the coalescer batches.
-        long pid = 0;
-        for (int i = 0; i < kCalls; ++i)
-            pid = sys::vgetpid();
-        return pid > 0 ? 0 : 8;
+        return sys::vread(gate[0], &go, 1) == 1 ? 0 : 9;
     };
     ASSERT_TRUE(nvx.start({app}).isOk());
 
     // Retune the running engine through the unified handle ...
     TuningHandle handle = nvx.tuning();
     ASSERT_TRUE(handle.valid());
-    handle.set(Knob::CoalesceRun, 32);
+    handle.set(Knob::ShipBatch, 32);
+    handle.set(Knob::CreditWindow, 512);
 
-    // ... and the very next StatusReport shows the new value — no
-    // restart.
+    // ... and the very next StatusReport shows the new values while the
+    // variant is still running — no restart.
     core::StatusReport report = nvx.status();
-    EXPECT_EQ(report.tuning.coalesce_run, 32u);
+    EXPECT_EQ(report.tuning.ship_batch, 32u);
+    EXPECT_EQ(report.tuning.credit_window, 512u);
     const std::string text = nvx.statusText();
-    EXPECT_NE(text.find("varan_tuning_coalesce_run 32"),
+    EXPECT_NE(text.find("varan_tuning_ship_batch 32"), std::string::npos);
+    EXPECT_NE(text.find("varan_tuning_credit_window 512"),
               std::string::npos);
 
     ASSERT_EQ(::write(gate[1], "g", 1), 1);
     auto results = nvx.wait();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, 0);
-
-    // The running leader picked the retune up: the getpid storm after
-    // it shipped in runs of 32. A cap fixed before the retune (the
-    // seeded 1, or the default 16) would need at least kCalls / 16
-    // runs; a cap ignored altogether (the storage ceiling of 64) fewer
-    // than kCalls / 32.
-    report = nvx.status();
-    EXPECT_GE(report.events_coalesced, static_cast<std::uint64_t>(kCalls));
-    EXPECT_GE(report.publish_batches, static_cast<std::uint64_t>(kCalls / 32));
-    EXPECT_LT(report.publish_batches, static_cast<std::uint64_t>(kCalls / 16));
     ::close(gate[0]);
     ::close(gate[1]);
 }
@@ -384,10 +311,9 @@ TEST(TuningEngineTest, LiveTuningVisibleInStatusWithoutRestart)
 TEST(TuningEngineTest, TuningStructSeedsTheLiveKnobs)
 {
     // The unified Tuning struct is the only knob surface (the legacy
-    // CoalesceConfig/RemoteConfig spellings are gone): values set
-    // there are what the engine actually runs with.
+    // RemoteConfig spellings are gone): values set there are what the
+    // engine actually runs with.
     core::EngineConfig config = fastConfig();
-    config.tuning.coalesce_run = 48;
     config.tuning.credit_window = 1024;
     config.tuning.ship_batch = 8;
 
@@ -396,7 +322,6 @@ TEST(TuningEngineTest, TuningStructSeedsTheLiveKnobs)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, 0);
     core::StatusReport report = nvx.status();
-    EXPECT_EQ(report.tuning.coalesce_run, 48u);
     EXPECT_EQ(report.tuning.credit_window, 1024u);
     EXPECT_EQ(report.tuning.ship_batch, 8u);
 }
