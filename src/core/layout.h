@@ -69,8 +69,10 @@ enum class VariantRole : std::uint32_t {
     FollowerOnly = 1,
 };
 
-/** Per-variant status, written by variants and the coordinator. */
-struct VariantSlot {
+/** Per-variant status, written by variants and the coordinator. One
+ *  line each: every call bumps `syscalls`, which must not bounce a
+ *  line shared with the neighbouring variant. */
+struct alignas(kCacheLineSize) VariantSlot {
     std::atomic<std::uint32_t> state;   ///< VariantState
     std::atomic<std::int32_t> exit_status;
     std::atomic<std::uint32_t> pid;

@@ -7,6 +7,7 @@
 #include <new>
 #include <unistd.h>
 
+#include "common/checksum.h"
 #include "common/clock.h"
 #include "common/fdpass.h"
 #include "common/logging.h"
@@ -34,19 +35,6 @@ std::uint32_t
 publisherOf(const ring::Event &event)
 {
     return (event.flags >> kPublisherShift) & 0xf;
-}
-
-/** FNV-1a, used to cross-check IN-buffer contents across variants. */
-std::uint32_t
-fnv1a(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t h = 2166136261u;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 16777619u;
-    }
-    return h;
 }
 
 /** write-family calls whose buffer contents we can cross-check. */
@@ -286,16 +274,21 @@ Monitor::dispatch(long nr, const std::uint64_t args[6])
     const int tuple = currentTuple();
     // A promoted leader keeps replaying a tuple until its backlog of
     // buffered events is drained; only then does it start recording.
-    const int slot = static_cast<int>(config_.variant_id);
-    const bool backlog = rings_[tuple].consumerActive(slot) &&
-                         rings_[tuple].lag(slot) > 0;
-    if (isLeader() && !backlog) {
-        // Before producing, release this variant's own cursor (it was
-        // pre-attached when someone else led) — otherwise the new
-        // leader would gate on, and eventually consume, its own events.
-        if (rings_[tuple].consumerActive(slot))
-            rings_[tuple].detachConsumer(slot);
-        return dispatchLeader(tuple, nr, args, info);
+    // Followers skip the check: lag() reads the line the producer
+    // writes on every publish.
+    if (isLeader()) {
+        const int slot = static_cast<int>(config_.variant_id);
+        ring::RingBuffer &ring = rings_[tuple];
+        const bool attached = ring.consumerActive(slot);
+        if (!attached || ring.lag(slot) == 0) {
+            // Before producing, release this variant's own cursor (it
+            // was pre-attached when someone else led) — otherwise the
+            // new leader would gate on, and eventually consume, its
+            // own events.
+            if (attached)
+                ring.detachConsumer(slot);
+            return dispatchLeader(tuple, nr, args, info);
+        }
     }
     return dispatchFollower(tuple, nr, args, info);
 }
@@ -445,7 +438,7 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
         std::uint32_t hash_len = 0;
         if (hashableInBuffer(nr, args, &hash_len)) {
             event.flags |= ring::kDataHash;
-            event.payload = fnv1a(
+            event.payload = crc32c(
                 reinterpret_cast<const void *>(args[1]), hash_len);
             event.payload_size = hash_len;
         }
@@ -654,7 +647,7 @@ Monitor::recordDivergence(const ring::Event &event, long nr,
 {
     trace::DivergenceRecord rec = {};
     rec.lamport = event.timestamp;
-    rec.arg_digest = fnv1a(args, 6 * sizeof(std::uint64_t));
+    rec.arg_digest = crc32c(args, 6 * sizeof(std::uint64_t));
     rec.ns = monotonicNs();
     rec.origin_id = 0; // local node; the wire relay overwrites this
     rec.epoch = cb_->epoch.load(std::memory_order_acquire);
@@ -786,10 +779,17 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
 {
     const int slot = static_cast<int>(config_.variant_id);
     const bool expect_fork = nr < 0;
-    const std::uint64_t deadline =
-        monotonicNs() + config_.progress_timeout_ns;
     ring::RingBuffer &ring = rings_[tuple];
     PeekCache &cache = peeked_[tuple];
+    // The progress deadline starts at the first stall, so a call served
+    // straight from the ring never reads the clock.
+    std::uint64_t deadline = 0;
+    auto stalled = [&]() {
+        const std::uint64_t now = monotonicNs();
+        if (deadline == 0)
+            deadline = now + config_.progress_timeout_ns;
+        return now > deadline;
+    };
 
     for (;;) {
         // Promoted (and this tuple's backlog is drained)?
@@ -826,7 +826,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                     maybePromote();
                     continue;
                 }
-                if (monotonicNs() > deadline) {
+                if (stalled()) {
                     panic("follower %u made no progress for %llu ms "
                           "(tuple %d, waiting for syscall %ld)",
                           config_.variant_id,
@@ -850,8 +850,20 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
         }
 
         // Enforce the leader's total order across tuples (Figure 3).
-        if (!clock_.awaitTurn(event.timestamp, tick_wait_))
+        if (!clock_.awaitTurn(event.timestamp, tick_wait_)) {
+            if (stalled()) {
+                panic("follower %u made no progress for %llu ms (tuple "
+                      "%d, waiting for the turn of timestamp %llu; the "
+                      "variant clock reads %llu)",
+                      config_.variant_id,
+                      static_cast<unsigned long long>(
+                          config_.progress_timeout_ns / 1000000),
+                      tuple,
+                      static_cast<unsigned long long>(event.timestamp),
+                      static_cast<unsigned long long>(clock_.current()));
+            }
             continue; // re-check promotion/shutdown, then retry
+        }
 
         const bool matches =
             expect_fork
@@ -884,7 +896,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
         // Content cross-check for write-family calls (section 2.2's
         // divergent-behaviour detection).
         if ((event.flags & ring::kDataHash) && config_.verify_divergence) {
-            std::uint32_t my_hash = fnv1a(
+            std::uint32_t my_hash = crc32c(
                 reinterpret_cast<const void *>(args[1]),
                 event.payload_size);
             if (my_hash != event.payload) {

@@ -108,34 +108,45 @@ RingBuffer::awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
 {
     RingControl *ctl = control();
     const std::uint64_t seq = ctl->head.load(std::memory_order_relaxed);
+    const std::uint64_t capacity = ctl->capacity;
+
+    // gate_cache_ is a lower bound on every active cursor: cursors only
+    // move forward, and armCursor() joins at or above any gate cached
+    // by a scan that missed it. While it leaves room, no consumer's
+    // cursor line is read at all. A re-initialised ring (head behind
+    // the cache) rescans.
+    if (gate_cache_ <= seq && seq - gate_cache_ + min_free <= capacity)
+        return capacity - (seq - gate_cache_);
 
     // Gate on the slowest active consumer; followers that crash get
     // deactivated by the coordinator so they stop holding us back.
+    auto rescan = [&] {
+        // Pairs with armCursor(): a joining consumer either shows up
+        // in this scan or reads a head no older than seq.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        gate_cache_ = gatingSequence(seq);
+        return seq - gate_cache_;
+    };
     std::uint32_t spins = 0;
     for (;;) {
-        const std::uint64_t used = seq - gatingSequence(seq);
-        if (used + min_free <= ctl->capacity)
-            return ctl->capacity - used;
+        const std::uint64_t used = rescan();
+        if (used + min_free <= capacity)
+            return capacity - used;
         if (deadlinePassed(deadline))
             return 0;
         if (wait.busy_only || spins++ < wait.spin_iterations) {
             __builtin_ia32_pause();
             continue;
         }
+        // Announce, then re-check (rescan()'s fence orders the two):
+        // pairs with the seq_cst cursor store in releaseSlots(), so
+        // either the re-check sees the consumer's new cursor or the
+        // consumer sees the announcement and wakes space_seq.
         ctl->producer_waiting.store(1, std::memory_order_seq_cst);
-        // Re-check after announcing, otherwise a consumer that advanced
-        // in between would leave us sleeping forever.
-        if (seq - gatingSequence(seq) + min_free <= ctl->capacity) {
-            ctl->producer_waiting.store(0, std::memory_order_release);
-            continue;
-        }
-        std::uint32_t observed =
+        const std::uint32_t observed =
             ctl->space_seq.load(std::memory_order_acquire);
-        if (seq - gatingSequence(seq) + min_free <= ctl->capacity) {
-            ctl->producer_waiting.store(0, std::memory_order_release);
-            continue;
-        }
-        futexWait(&ctl->space_seq, observed, 1000000); // 1 ms tick
+        if (rescan() + min_free > capacity)
+            futexWait(&ctl->space_seq, observed, 1000000); // 1 ms tick
         ctl->producer_waiting.store(0, std::memory_order_release);
     }
 }
@@ -218,6 +229,23 @@ RingBuffer::consumersWaiting() const
     return control()->consumers_waiting.load(std::memory_order_acquire);
 }
 
+void
+RingBuffer::armCursor(int id)
+{
+    RingControl *ctl = control();
+    ConsumerCursor &cur = ctl->cursors[id];
+    // Start reading at the current head: a late-attaching consumer must
+    // not see stale history. The producer may have cached a gate from a
+    // scan that ran before `active` was visible; re-reading head after
+    // announcing (paired with the fence before every producer rescan)
+    // lands the cursor at or above any such gate.
+    cur.seq.store(ctl->head.load(std::memory_order_acquire),
+                  std::memory_order_release);
+    cur.active.store(1, std::memory_order_seq_cst);
+    cur.seq.store(ctl->head.load(std::memory_order_seq_cst),
+                  std::memory_order_release);
+}
+
 int
 RingBuffer::attachConsumer()
 {
@@ -227,12 +255,7 @@ RingBuffer::attachConsumer()
         std::uint32_t old = ctl->attach_bitmap.fetch_or(
             bit, std::memory_order_acq_rel);
         if (!(old & bit)) {
-            // Start reading at the current head: a late-attaching
-            // consumer must not see stale history.
-            ctl->cursors[i].seq.store(
-                ctl->head.load(std::memory_order_acquire),
-                std::memory_order_release);
-            ctl->cursors[i].active.store(1, std::memory_order_release);
+            armCursor(static_cast<int>(i));
             return static_cast<int>(i);
         }
     }
@@ -249,9 +272,7 @@ RingBuffer::attachConsumerAt(int id)
         ctl->attach_bitmap.fetch_or(bit, std::memory_order_acq_rel);
     if (old & bit)
         return false;
-    ctl->cursors[id].seq.store(ctl->head.load(std::memory_order_acquire),
-                               std::memory_order_release);
-    ctl->cursors[id].active.store(1, std::memory_order_release);
+    armCursor(id);
     return true;
 }
 
@@ -303,10 +324,14 @@ void
 RingBuffer::releaseSlots(ConsumerCursor &cur, std::uint64_t next_seq)
 {
     RingControl *ctl = control();
-    cur.seq.store(next_seq, std::memory_order_release);
-    ctl->space_seq.fetch_add(1, std::memory_order_release);
-    if (ctl->producer_waiting.load(std::memory_order_seq_cst))
+    // seq_cst store + seq_cst load: the consumer half of the producer's
+    // announce/re-check in awaitSpace(). Only a producer that announced
+    // itself costs this consumer a write to the shared space_seq line.
+    cur.seq.store(next_seq, std::memory_order_seq_cst);
+    if (ctl->producer_waiting.load(std::memory_order_seq_cst)) {
+        ctl->space_seq.fetch_add(1, std::memory_order_release);
         futexWake(&ctl->space_seq, 1);
+    }
 }
 
 bool

@@ -216,8 +216,15 @@ class RingBuffer
     /** Advance @p cur to @p next_seq and wake a blocked producer. */
     void releaseSlots(ConsumerCursor &cur, std::uint64_t next_seq);
 
+    /** Activate cursor @p id at the current head (slot already won). */
+    void armCursor(int id);
+
     const shmem::Region *region_ = nullptr;
     shmem::Offset off_ = 0;
+    /** Producer-private: the gating sequence of the last rescan, a
+     *  lower bound on every active cursor (see awaitSpace()). A fresh
+     *  handle starts at 0, which is always safe. */
+    std::uint64_t gate_cache_ = 0;
 };
 
 } // namespace varan::ring

@@ -44,7 +44,7 @@ LogReader::open(const std::string &path)
         close();
         return Status(Errno{EPROTO});
     }
-    if (header.version != 1 && header.version != kLogVersion) {
+    if (header.version < 1 || header.version > kLogVersion) {
         // Unknown version: reject decodably instead of parsing the
         // record bytes with the wrong layout.
         close();

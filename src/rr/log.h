@@ -15,6 +15,11 @@
  * filled — yields the valid prefix plus a `truncated` flag instead of
  * rejecting the whole log with EPROTO. v1 logs (no checksums) remain
  * readable.
+ *
+ * Format v3 keeps the v2 byte layout; only the meaning of a recorded
+ * kDataHash value changed, from FNV-1a to CRC32C (the engine's content
+ * hash). An old log's content hashes cannot be checked against a
+ * CRC32C, so the replayer drops them from v1/v2 logs.
  */
 
 #ifndef VARAN_RR_LOG_H
@@ -57,7 +62,10 @@ inline constexpr char kLogMagic[8] = {'V', 'R', 'R', 'L', 'O', 'G', '1',
                                       '\0'};
 
 /** Current log format version written by every recorder. */
-inline constexpr std::uint32_t kLogVersion = 2;
+inline constexpr std::uint32_t kLogVersion = 3;
+
+/** First version whose kDataHash values are CRC32C content hashes. */
+inline constexpr std::uint32_t kCrc32cContentHashVersion = 3;
 
 struct LogHeader {
     char magic[8];
@@ -93,8 +101,8 @@ inline constexpr std::size_t kRecordCrcOffset =
 static_assert(sizeof(RecordHeaderV1) == 72, "v1 record layout is frozen");
 static_assert(sizeof(RecordHeader) == 80, "v2 record layout is frozen");
 
-/** FNV-1a, the same hash the wire tier uses for frame bodies. The
- *  @p seed parameter chains partial hashes (header, then payload). */
+/** FNV-1a, the record checksum of every log version. The @p seed
+ *  parameter chains partial hashes (header, then payload). */
 inline std::uint32_t
 logChecksum(const void *data, std::size_t len,
             std::uint32_t seed = 2166136261u)
@@ -197,7 +205,7 @@ class LogWriter
 
     VARAN_NO_COPY_NO_MOVE(LogWriter);
 
-    /** Create/truncate @p path and write the v2 header (checked). */
+    /** Create/truncate @p path and write the kLogVersion header (checked). */
     Status open(const std::string &path);
     bool isOpen() const { return fd_ >= 0; }
 

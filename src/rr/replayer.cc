@@ -71,6 +71,10 @@ Replayer::publishRecord(const LogRecord &record)
     // Virtualise descriptor transfer: replayed followers replay
     // results only; there is no live leader to duplicate fds from.
     event.flags &= ~static_cast<std::uint32_t>(ring::kFdTransfer);
+    // Logs older than v3 carry FNV-1a content hashes, which no follower
+    // can check against its CRC32C: replay those writes unchecked.
+    if (reader_.version() < kCrc32cContentHashVersion)
+        event.flags &= ~static_cast<std::uint32_t>(ring::kDataHash);
     if (payload != 0) {
         event.payload = static_cast<std::uint32_t>(payload);
         event.payload_size =

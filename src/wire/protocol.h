@@ -77,7 +77,7 @@
  *
  * Integers are native-endian (x86-64 on both ends, matching the event
  * layout itself which is memcpy'd); the body is integrity-checked with
- * FNV-1a. Version changes bump kProtocolVersion, and a receiver
+ * CRC32C. Version changes bump kProtocolVersion, and a receiver
  * rejects frames whose version it does not speak.
  */
 
@@ -88,6 +88,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/checksum.h"
 #include "core/layout.h"
 #include "core/status.h"
 #include "ring/event.h"
@@ -96,7 +97,10 @@
 namespace varan::wire {
 
 inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
-/** v8: the leader's batched publish mode is gone, so the Status body
+/** v9: frame bodies are checksummed with CRC32C instead of FNV-1a,
+ *  and an event's kDataHash content hash is CRC32C too (the hash a
+ *  remote follower checks its own write buffer against).
+ *  v8: the leader's batched publish mode is gone, so the Status body
  *  lost its two knob values (TuningStatus) and its dwell histogram
  *  (TraceStatus).
  *  v7: the Status body's live-tuning section shrank to the four knob
@@ -123,7 +127,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x31525756; // "VWR1"
  *  v2: the Status frame became the status RPC (empty body = request,
  *  core::StatusReport body = reply); in v1 it carried a HelloBody and
  *  nothing ever sent it. */
-inline constexpr std::uint16_t kProtocolVersion = 8;
+inline constexpr std::uint16_t kProtocolVersion = 9;
 
 // The Status frame body is a raw StatusReport. A layout change must bump
 // kProtocolVersion and update docs/WIRE_PROTOCOL.md, then this size.
@@ -244,21 +248,15 @@ struct ErrorBody {
     std::uint64_t detail;            ///< code-specific (e.g. cursor floor)
 };
 
-/** FNV-1a over arbitrary bytes — the frame body checksum. */
+/** CRC32C over arbitrary bytes — the frame body checksum. */
 inline std::uint32_t
 bodyChecksum(const void *data, std::size_t len)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t h = 2166136261u;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 16777619u;
-    }
-    return h;
+    return crc32c(data, len);
 }
 
 /** Fill the fixed fields of a header. The checksum starts as the
- *  empty-body FNV basis, correct as-is for body-less frames; senders
+ *  empty-body CRC32C (0), correct as-is for body-less frames; senders
  *  with a body overwrite it with bodyChecksum(). */
 inline FrameHeader
 makeHeader(FrameType type, std::uint32_t body_len)

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the common substrate: fd wrappers, fd passing, futex,
- * clocks, results and logging levels.
+ * clocks, the CRC32C content hash, results and logging levels.
  */
 
+#include <cstring>
 #include <fcntl.h>
+#include <random>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/clock.h"
 #include "common/fd.h"
 #include "common/fdpass.h"
@@ -207,6 +210,37 @@ TEST(ClockTest, RdtscAdvances)
         sink += static_cast<unsigned>(i);
     asm volatile("" :: "r"(sink));
     EXPECT_GT(rdtsc(), a);
+}
+
+TEST(Crc32cTest, KnownAnswers)
+{
+    // The standard CRC32C check value, and the empty input.
+    EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc32c(nullptr, 0), 0u);
+    EXPECT_EQ(crc32cSoftware("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc32cSoftware(nullptr, 0), 0u);
+    // Chaining over a split equals one pass over the whole.
+    EXPECT_EQ(crc32c("6789", 4, crc32c("12345", 5)), 0xE3069283u);
+}
+
+TEST(Crc32cTest, HardwareAndSoftwareAgree)
+{
+    if (!crc32cHardwareAvailable())
+        GTEST_SKIP() << "no SSE4.2 on this CPU";
+    std::mt19937 rng(20150314);
+    std::vector<std::uint8_t> buf(4096 + 16);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    std::uniform_int_distribution<std::size_t> len_of(0, 4096);
+    std::uniform_int_distribution<std::size_t> start_of(0, 15);
+    for (int i = 0; i < 2000; ++i) {
+        const std::size_t start = start_of(rng); // misaligned on purpose
+        const std::size_t len = len_of(rng);
+        const std::uint8_t *p = buf.data() + start;
+        ASSERT_EQ(crc32cHardware(p, len), crc32cSoftware(p, len))
+            << "len " << len << " start " << start;
+        ASSERT_EQ(crc32c(p, len), crc32cSoftware(p, len));
+    }
 }
 
 TEST(ResultTest, ValueRoundTrip)

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "core/nvx.h"
 #include "syscalls/sys.h"
 
@@ -467,23 +468,51 @@ TEST(NvxTest, WriteContentDivergenceIsDetected)
     EXPECT_FALSE(results[0].crashed);
     EXPECT_TRUE(results[1].crashed) << "content divergence missed";
     EXPECT_EQ(readExactly(fds[0], 5), "good.");
-    // The fatal line names the failed check and both FNV-1a hashes.
-    auto fnv1a = [](const char *p, std::size_t n) {
-        std::uint32_t h = 2166136261u;
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= static_cast<unsigned char>(p[i]);
-            h *= 16777619u;
-        }
-        return h;
-    };
+    // The fatal line names the failed check and both content hashes.
     char want[128];
     std::snprintf(want, sizeof(want),
                   "failed the content hash check (follower 0x%08x, "
                   "leader streamed 0x%08x)",
-                  fnv1a("EVIL!", 5), fnv1a("good.", 5));
+                  crc32c("EVIL!", 5), crc32c("good.", 5));
     EXPECT_NE(log.find(want), std::string::npos) << log;
     ::close(fds[0]);
     ::close(fds[1]);
+}
+
+TEST(NvxTest, FollowerStuckOnAMissingTimestampPanics)
+{
+    // The stream skips timestamp 2, so the follower's turn for event 3
+    // never comes. It must die with a named panic at the progress
+    // timeout instead of retrying the turn wait forever.
+    EngineConfig config = fastConfig();
+    config.external_leader = true;
+    config.ring.progress_timeout_ns = 300000000ULL; // 300 ms
+    auto app = []() -> int {
+        sys::vgetpid();
+        sys::vgetpid();
+        return 0;
+    };
+    Nvx nvx(config);
+    testing::internal::CaptureStderr();
+    ASSERT_TRUE(nvx.start({app}).isOk());
+    ring::RingBuffer ring = nvx.layout().tupleRing(nvx.region(), 0);
+    for (std::uint64_t ts : {1, 3}) {
+        ring::Event event = {};
+        event.type = ring::EventType::Syscall;
+        event.nr = SYS_getpid;
+        event.result = 4242;
+        event.timestamp = ts;
+        ASSERT_TRUE(
+            ring.publish(event, ring::WaitSpec::withTimeout(5000000000ULL)));
+    }
+    auto results = nvx.waitFor(20000000000ULL);
+    const std::string log = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].crashed) << log;
+    EXPECT_NE(log.find("(tuple 0, waiting for the turn of timestamp 3; "
+                       "the variant clock reads 1)"),
+              std::string::npos)
+        << log;
 }
 
 TEST(NvxTest, MultiThreadedTuplesStreamIndependently)

@@ -5,6 +5,8 @@
  * the Lamport clock gate and the legacy event-pump baseline.
  */
 
+#include <atomic>
+#include <cstring>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "ring/event.h"
 #include "ring/event_pump.h"
 #include "ring/lamport.h"
@@ -266,6 +269,107 @@ TEST_F(RingTest, EachConsumerSeesEveryEvent)
         t.join();
     for (int i = 0; i < kConsumers; ++i)
         EXPECT_EQ(sums[i], expect_sum);
+}
+
+/** Every field of event @p n is a function of n, so a slot recycled
+ *  under a reader (a gating bug) shows up as a content mismatch. */
+Event
+stampedEvent(std::uint64_t n)
+{
+    Event e = makeEvent(n, static_cast<std::uint16_t>(n & 0x3ff),
+                        static_cast<std::int64_t>(n * 31));
+    for (unsigned i = 0; i < kInlineArgs; ++i)
+        e.args[i] = n ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+    return e;
+}
+
+bool
+isStamped(const Event &e, std::uint64_t n)
+{
+    const Event want = stampedEvent(n);
+    return std::memcmp(&e, &want, sizeof(Event)) == 0;
+}
+
+TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
+{
+    // Capacity 4 and no spinning: nearly every publish and consume goes
+    // through a waitlock, so a lost wake costs a 1 ms futex tick and
+    // 200k events would blow far past the time bound below.
+    init(4);
+    constexpr std::uint64_t kEvents = 200000;
+    WaitSpec wait;
+    wait.spin_iterations = 0;
+    wait.timeout_ns = 20000000000ULL;
+
+    const int steady = ring_.attachConsumer();
+    const int rejoin = ring_.attachConsumer();
+    ASSERT_GE(steady, 0);
+    ASSERT_GE(rejoin, 0);
+    const std::uint64_t start = monotonicNs();
+
+    std::atomic<int> failures{0};
+    std::thread steady_thread([&] {
+        Event out = {};
+        for (std::uint64_t n = 1; n <= kEvents; ++n) {
+            if (!ring_.consume(steady, &out, wait) || !isStamped(out, n)) {
+                failures.fetch_add(1);
+                return;
+            }
+        }
+    });
+    std::atomic<bool> reattached{false};
+    std::uint64_t rejoined_at = 0;
+    std::thread rejoin_thread([&] {
+        Event out = {};
+        for (std::uint64_t n = 1; n <= kEvents / 2; ++n) {
+            if (!ring_.consume(rejoin, &out, wait) || !isStamped(out, n)) {
+                failures.fetch_add(1);
+                return;
+            }
+        }
+        // Leave and come back at the stream tail: from there on the
+        // stream must again be gap-free and in order.
+        ring_.detachConsumer(rejoin);
+        const bool attached = ring_.attachConsumerAt(rejoin);
+        reattached.store(true, std::memory_order_release);
+        if (!attached || !ring_.consume(rejoin, &out, wait)) {
+            failures.fetch_add(1);
+            return;
+        }
+        rejoined_at = out.timestamp;
+        for (std::uint64_t n = rejoined_at;; ++n) {
+            if (!isStamped(out, n)) {
+                failures.fetch_add(1);
+                return;
+            }
+            if (n == kEvents)
+                break;
+            if (!ring_.consume(rejoin, &out, wait)) {
+                failures.fetch_add(1);
+                return;
+            }
+        }
+    });
+
+    for (std::uint64_t n = 1; n <= kEvents; ++n) {
+        // Leave the rejoining consumer a tail to join.
+        if (n == kEvents * 3 / 4) {
+            while (!reattached.load(std::memory_order_acquire) &&
+                   failures.load() == 0)
+                std::this_thread::yield();
+        }
+        if (!ring_.publish(stampedEvent(n), wait)) {
+            ADD_FAILURE() << "publish " << n << " timed out";
+            break;
+        }
+    }
+    steady_thread.join();
+    rejoin_thread.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(rejoined_at, kEvents / 2);
+    EXPECT_LE(rejoined_at, kEvents * 3 / 4);
+    EXPECT_LT(monotonicNs() - start, 20000000000ULL)
+        << "lost wakes: waiters slept through their futex ticks";
 }
 
 TEST_F(RingTest, LagTracksDistance)

@@ -421,6 +421,69 @@ TEST(ReplayTest, RecordThenReplayDrivesFollowers)
     ::unlink(path.c_str());
 }
 
+TEST(ReplayTest, PreCrc32cLogsReplayWritesUnchecked)
+{
+    // A v2 recorder stamped write events with an FNV-1a content hash
+    // (the same function as the record checksum). Replaying such a log
+    // must not read as a divergence under CRC32C content hashing; the
+    // same bytes declared v3 are checked, and fail.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    auto app = [fds]() -> int {
+        sys::vwrite(fds[1], "hello", 5);
+        return 0;
+    };
+    ring::Event write = {};
+    write.type = ring::EventType::Syscall;
+    write.nr = SYS_write;
+    write.timestamp = 1;
+    write.result = 5;
+    write.flags = ring::kDataHash;
+    write.payload = logChecksum("hello", 5);
+    write.payload_size = 5;
+    ring::Event exit = {};
+    exit.type = ring::EventType::Exit;
+    exit.nr = SYS_exit_group;
+    exit.timestamp = 2;
+
+    for (std::uint32_t version : {2u, 3u}) {
+        SCOPED_TRACE("log format v" + std::to_string(version));
+        std::string path = tempLogPath();
+        LogHeader header = {};
+        std::memcpy(header.magic, kLogMagic, sizeof(header.magic));
+        header.version = version;
+        std::vector<std::uint8_t> bytes(
+            reinterpret_cast<const std::uint8_t *>(&header),
+            reinterpret_cast<const std::uint8_t *>(&header + 1));
+        appendRecord(bytes, 0, write, nullptr, 0);
+        appendRecord(bytes, 0, exit, nullptr, 0);
+        FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fclose(f);
+
+        core::EngineConfig config = engineConfig();
+        config.external_leader = true;
+        core::Nvx nvx(config);
+        ASSERT_TRUE(nvx.start({app}).isOk());
+        Replayer replayer(nvx.region(), &nvx.layout(), path);
+        ASSERT_TRUE(replayer.replayAll().ok());
+        auto results = nvx.waitFor(30000000000ULL);
+        ASSERT_EQ(results.size(), 1u);
+        if (version < kCrc32cContentHashVersion) {
+            EXPECT_FALSE(results[0].crashed);
+            EXPECT_EQ(results[0].status, 0);
+            EXPECT_EQ(nvx.divergencesFatal(), 0u);
+        } else {
+            EXPECT_TRUE(results[0].crashed);
+            EXPECT_EQ(nvx.divergencesFatal(), 1u);
+        }
+        ::unlink(path.c_str());
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
 TEST(ReplayTest, ReplayIntoRestart)
 {
     std::string path = tempLogPath();
