@@ -52,9 +52,11 @@ ringEventsPerSec(int consumers, std::uint64_t events)
     ring::Event out;
     std::uint64_t t0 = monotonicNs();
     for (std::uint64_t n = 0; n < events; ++n) {
-        ring.publish(makeEvent(n));
+        const ring::Event event = makeEvent(n);
+        ring.claim(1, nullptr);
+        ring.commit({&event, 1});
         for (int i = 0; i < consumers; ++i)
-            ring.poll(ids[i], &out);
+            ring.advanceBy(ids[i], ring.peekBatch(ids[i], &out, 1));
     }
     return double(events) / (double(monotonicNs() - t0) / 1e9);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * google-benchmark microbenchmarks for VARAN's primitives: ring-buffer
- * publish/consume, Lamport clock ticks, pool allocation, BPF filter
+ * google-benchmark microbenchmarks for VARAN's primitives: the ring's
+ * claim/commit + peekBatch/advanceBy round trip, Lamport clock ticks, pool allocation, BPF filter
  * evaluation and the length disassembler. These are the building-block
  * costs behind Figure 4's macro numbers.
  */
@@ -39,30 +39,16 @@ struct RingFixture {
     }
 };
 
-void
-BM_RingPublishConsume(benchmark::State &state)
-{
-    static RingFixture fixture;
-    ring::Event e = {};
-    e.type = ring::EventType::Syscall;
-    ring::Event out;
-    for (auto _ : state) {
-        fixture.ring.publish(e);
-        fixture.ring.poll(fixture.consumer, &out);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RingPublishConsume);
-
 /**
- * The batched fast path: publish a run of events with one head store +
- * one wake, drain them with one cursor advance. Compare items/s against
- * BM_RingPublishConsume to see the synchronization amortization; the
- * target is ≥2x single-event throughput at batch size 16.
+ * The ring's two protocols, one run at a time: claim + commit a run of
+ * events (one head store, at most one wake), then peekBatch +
+ * advanceBy it (one cursor advance). Run length 1 is the leader's
+ * per-syscall path; compare items/s across lengths to see the
+ * synchronization amortization a batched producer (the wire receiver)
+ * gets.
  */
 void
-BM_RingPublishConsumeBatch(benchmark::State &state)
+BM_RingClaimCommitPeekAdvance(benchmark::State &state)
 {
     static RingFixture fixture;
     const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -71,18 +57,21 @@ BM_RingPublishConsumeBatch(benchmark::State &state)
         e.type = ring::EventType::Syscall;
     std::vector<ring::Event> out(batch);
     for (auto _ : state) {
-        fixture.ring.publishBatch(in);
+        fixture.ring.claim(batch, nullptr);
+        fixture.ring.commit(in);
         std::size_t got = 0;
         while (got < batch) {
-            got += fixture.ring.pollBatch(fixture.consumer,
-                                          out.data() + got, batch - got);
+            const std::size_t n = fixture.ring.peekBatch(
+                fixture.consumer, out.data() + got, batch - got);
+            fixture.ring.advanceBy(fixture.consumer, n);
+            got += n;
         }
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_RingPublishConsumeBatch)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_RingClaimCommitPeekAdvance)->Arg(1)->Arg(16)->Arg(64);
 
 /** SPSC queue batch ops (the pump's building block), same comparison. */
 void

@@ -33,6 +33,7 @@
 #include "benchutil/table.h"
 #include "common/clock.h"
 #include "core/layout.h"
+#include "core/tuple_writer.h"
 #include "wire/receiver.h"
 #include "wire/shipper.h"
 
@@ -98,14 +99,15 @@ runOnce(std::size_t ship_batch, std::uint64_t total_events)
         wait.timeout_ns = 50000000; // 50 ms tick
         std::uint64_t seen = 0;
         while (seen < total_events) {
-            std::size_t n = ring.consumeBatch(0, events, 64, wait);
+            const std::size_t n = ring.peekBatch(0, events, 64, wait);
+            ring.advanceBy(0, n);
             seen += n;
             drained.store(seen, std::memory_order_release);
         }
     });
 
     shipper.start();
-    ring::RingBuffer ring = leader.layout.tupleRing(&leader.region, 0);
+    core::TupleWriter writer(&leader.region, leader.layout, 0);
     const std::uint64_t start_ns = monotonicNs();
 
     ring::Event batch[256];
@@ -120,7 +122,7 @@ runOnce(std::size_t ship_batch, std::uint64_t total_events)
             batch[i].nr = 39; // getpid
             batch[i].result = 4242;
         }
-        published += ring.publishBatch({batch, n});
+        published += writer.publish({batch, n}, {});
     }
 
     remote_follower.join();
@@ -196,8 +198,11 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
         ring::WaitSpec wait;
         wait.timeout_ns = 50000000; // 50 ms tick
         std::uint64_t seen = 0;
-        while (seen < until && !done.load(std::memory_order_acquire))
-            seen += ring.consumeBatch(0, events, 64, wait);
+        while (seen < until && !done.load(std::memory_order_acquire)) {
+            const std::size_t n = ring.peekBatch(0, events, 64, wait);
+            ring.advanceBy(0, n);
+            seen += n;
+        }
     };
     std::thread remote_follower(
         [&] { drainNode(&remote_a, total_events); });
@@ -207,7 +212,7 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
     });
 
     shipper.start();
-    ring::RingBuffer ring = leader.layout.tupleRing(&leader.region, 0);
+    core::TupleWriter writer(&leader.region, leader.layout, 0);
     const std::uint64_t start_ns = monotonicNs();
 
     ring::Event batch[256];
@@ -222,7 +227,7 @@ runFanOut(std::size_t ship_batch, std::uint64_t total_events,
             batch[i].nr = 39; // getpid
             batch[i].result = 4242;
         }
-        published += ring.publishBatch({batch, n});
+        published += writer.publish({batch, n}, {});
     }
 
     remote_follower.join();

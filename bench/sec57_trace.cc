@@ -27,6 +27,7 @@
 #include "benchutil/table.h"
 #include "common/clock.h"
 #include "core/layout.h"
+#include "core/tuple_writer.h"
 #include "trace/trace.h"
 #include "wire/receiver.h"
 #include "wire/shipper.h"
@@ -97,12 +98,15 @@ runWire(bool traced, std::uint64_t total_events)
         ring::WaitSpec wait;
         wait.timeout_ns = 50000000; // 50 ms tick
         std::uint64_t seen = 0;
-        while (seen < total_events)
-            seen += ring.consumeBatch(0, events, 64, wait);
+        while (seen < total_events) {
+            const std::size_t n = ring.peekBatch(0, events, 64, wait);
+            ring.advanceBy(0, n);
+            seen += n;
+        }
     });
 
     shipper.start();
-    ring::RingBuffer ring = leader.layout.tupleRing(&leader.region, 0);
+    core::TupleWriter writer(&leader.region, leader.layout, 0);
     const std::uint64_t start_ns = monotonicNs();
 
     ring::Event batch[256];
@@ -117,7 +121,7 @@ runWire(bool traced, std::uint64_t total_events)
             batch[i].nr = 39; // getpid
             batch[i].result = 4242;
         }
-        published += ring.publishBatch({batch, n});
+        published += writer.publish({batch, n}, {});
     }
 
     remote_follower.join();

@@ -2,7 +2,8 @@
  * @file
  * Table 1: server applications used in the evaluation — name, size and
  * threading model. Sizes are counted from the in-tree sources at run
- * time (the paper used cloc over the original applications).
+ * time (the paper used cloc over the original applications), from the
+ * source tree named by VARAN_SOURCE_DIR, which CMake defines.
  */
 
 #include <cstdio>
@@ -10,10 +11,6 @@
 #include <string>
 
 #include "benchutil/table.h"
-
-#ifndef VARAN_SOURCE_DIR
-#define VARAN_SOURCE_DIR "."
-#endif
 
 namespace {
 
@@ -80,6 +77,6 @@ main()
     std::printf("\nNote: the archetypes reproduce each server's protocol "
                 "shape, event-loop structure and\nthreading model, which "
                 "is what determines the monitor's cost profile; "
-                "application logic is\ncondensed (see DESIGN.md).\n");
+                "application logic is\ncondensed.\n");
     return 0;
 }

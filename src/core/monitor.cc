@@ -131,7 +131,7 @@ Monitor::Monitor(const shmem::Region *region, EngineLayout layout,
 {
     for (std::uint32_t t = 0; t < kMaxTuples; ++t) {
         rings_[t] = layout.tupleRing(region, t);
-        shadows_[t] = layout.tupleShadow(region, t);
+        writers_[t] = TupleWriter(region, layout, t);
     }
     for (const std::string &text : config_.rules_text) {
         if (!rules_.addRule(text).isOk())
@@ -211,14 +211,10 @@ void
 Monitor::bindThreadToTuple(int tuple)
 {
     t_tuple = tuple;
-    if (g_monitor) {
-        g_monitor->owned_tuples_.fetch_or(1u << tuple,
-                                          std::memory_order_acq_rel);
-    }
 }
 
 int
-Monitor::openTuple()
+Monitor::openTuple(TupleKind kind)
 {
     const int tuple = currentTuple();
     const int slot = static_cast<int>(config_.variant_id);
@@ -227,22 +223,30 @@ Monitor::openTuple()
     if (isLeader() && !backlog) {
         if (rings_[tuple].consumerActive(slot))
             rings_[tuple].detachConsumer(slot);
-        std::uint32_t t =
-            cb_->num_tuples.fetch_add(1, std::memory_order_acq_rel);
-        VARAN_CHECK(t < kMaxTuples);
-        cb_->tuples[t].active.store(1, std::memory_order_release);
-        ring::Event event = {};
-        event.type = ring::EventType::Fork;
-        event.nr = 0;
-        event.args[0] = t;
-        event.result = 0;
-        publishEvent(tuple, event, 0);
-        return static_cast<int>(t);
+        return announceTuple(tuple, kind);
     }
-    // Follower: the tuple id arrives as a Fork event in the stream.
-    const std::uint64_t dummy_args[6] = {};
-    long t = dispatchFollower(tuple, /*nr=*/-1, dummy_args,
+    // Follower: the tuple id arrives as a Fork event in the stream. The
+    // Fork pseudo-call's args[0] tells dispatchFollower() whether the
+    // new tuple is a thread of this process.
+    const std::uint64_t fork_args[6] = {kind == TupleKind::Thread};
+    long t = dispatchFollower(tuple, /*nr=*/-1, fork_args,
                               sys::syscallInfo(-1));
+    return static_cast<int>(t);
+}
+
+int
+Monitor::announceTuple(int tuple, TupleKind kind)
+{
+    const std::uint32_t t =
+        cb_->num_tuples.fetch_add(1, std::memory_order_acq_rel);
+    VARAN_CHECK(t < kMaxTuples);
+    if (kind == TupleKind::Thread)
+        owned_tuples_.fetch_or(1u << t, std::memory_order_acq_rel);
+    cb_->tuples[t].active.store(1, std::memory_order_release);
+    ring::Event event = {};
+    event.type = ring::EventType::Fork;
+    event.args[0] = t;
+    publishEvent(tuple, event);
     return static_cast<int>(t);
 }
 
@@ -352,29 +356,13 @@ Monitor::buildPayload(int tuple, const sys::SyscallInfo &info,
 }
 
 void
-Monitor::publishEvent(int tuple, ring::Event &event, shmem::Offset payload)
+Monitor::publishEvent(int tuple, ring::Event &event)
 {
     event.timestamp = clock_.tick();
     event.flags |= config_.variant_id << kPublisherShift;
 
-    ring::RingBuffer &ring = rings_[tuple];
-    ring::WaitSpec publish_wait = config_.wait;
-    publish_wait.timeout_ns = kPublishStallNs;
-    std::uint64_t seq = 0;
-    if (!ring.claim(1, &seq, publish_wait))
+    if (writers_[tuple].publish({&event, 1}, publishWait(config_.wait)) == 0)
         panic("ring publish stalled: follower wedged?");
-
-    // Free the payload that previously lived in this ring slot — only
-    // now, with the slot claimed, has the gating protocol proven every
-    // consumer is done with it.
-    std::uint64_t *shadow = shadows_[tuple];
-    std::uint64_t slot_index = seq & (cb_->ring_capacity - 1);
-    if (shadow[slot_index] != 0)
-        pool_.release(shadow[slot_index]);
-    shadow[slot_index] = payload;
-
-    ring.commit({&event, 1});
-    cb_->events_streamed.fetch_add(1, std::memory_order_relaxed);
 
     if (trace::enabled(cb_->trace)) {
         // Failover blackout: a pending leader-death mark means this is
@@ -397,10 +385,12 @@ Monitor::publishEvent(int tuple, ring::Event &event, shmem::Offset payload)
         if (trace::sampled(event.timestamp)) {
             const std::uint64_t now = monotonicNs();
             trace::lagMark(cb_->trace, event.timestamp, now);
+            // This thread is the tuple's only producer: the event just
+            // published sits right below head.
             trace::stamp(cb_->trace, trace::Stage::LeaderPublish,
                          static_cast<std::uint8_t>(config_.variant_id),
                          static_cast<std::uint8_t>(tuple), event.nr, now,
-                         event.timestamp, seq);
+                         event.timestamp, rings_[tuple].headSeq() - 1);
         }
     }
 }
@@ -473,7 +463,7 @@ Monitor::dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
         }
     }
 
-    publishEvent(tuple, event, payload);
+    publishEvent(tuple, event);
     return result;
 }
 
@@ -799,15 +789,9 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                 ring.detachConsumer(slot);
             if (expect_fork) {
                 // Re-run as leader: allocate and announce the tuple.
-                std::uint32_t t = cb_->num_tuples.fetch_add(
-                    1, std::memory_order_acq_rel);
-                VARAN_CHECK(t < kMaxTuples);
-                cb_->tuples[t].active.store(1, std::memory_order_release);
-                ring::Event event = {};
-                event.type = ring::EventType::Fork;
-                event.args[0] = t;
-                publishEvent(tuple, event, 0);
-                return static_cast<long>(t);
+                return announceTuple(tuple, args[0] != 0
+                                                ? TupleKind::Thread
+                                                : TupleKind::Process);
             }
             return dispatchLeader(tuple, nr, args, info);
         }
@@ -879,7 +863,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                 // The leader's event stays queued (and cached).
                 return result;
               case DivergenceOutcome::SkippedEvent:
-                ring.advance(slot);
+                ring.advanceBy(slot, 1);
                 ++cache.pos;
                 clock_.advanceTo(event.timestamp);
                 continue;
@@ -887,10 +871,17 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
         }
 
         if (expect_fork) {
-            ring.advance(slot);
+            // A thread tuple belongs to this process's descriptor demux
+            // before the clock passes its Fork: the leader sends the
+            // tuple's first descriptor only after it ticked the Fork, so
+            // no sibling can draw that descriptor before the claim.
+            const std::uint64_t child = event.args[0];
+            if (args[0] != 0 && child < kMaxTuples)
+                owned_tuples_.fetch_or(1u << child, std::memory_order_acq_rel);
+            ring.advanceBy(slot, 1);
             ++cache.pos;
             clock_.advanceTo(event.timestamp);
-            return static_cast<long>(event.args[0]);
+            return static_cast<long>(child);
         }
 
         // Content cross-check for write-family calls (section 2.2's
@@ -928,7 +919,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
                          event.timestamp);
         }
 
-        ring.advance(slot);
+        ring.advanceBy(slot, 1);
         ++cache.pos;
         clock_.advanceTo(event.timestamp);
         return event.result;
@@ -941,7 +932,7 @@ Monitor::handleFork([[maybe_unused]] int tuple, [[maybe_unused]] long nr,
 {
     // clone() with thread flags is the VThread path; plain fork/clone
     // spawns a process tuple.
-    int child_tuple = openTuple();
+    int child_tuple = openTuple(TupleKind::Process);
     long result = sys::rawSyscall(SYS_fork);
     if (result == 0) {
         // The child keeps the parent's role: leader children lead their
@@ -981,8 +972,9 @@ Monitor::handleExit(int tuple, long nr, const std::uint64_t args[6])
         while (draining) {
             if (isLeader())
                 break; // promoted mid-exit: just leave
-            std::size_t n =
-                ring.consumeBatch(slot, batch, kExitDrainBatch, tick_wait_);
+            const std::size_t n =
+                ring.peekBatch(slot, batch, kExitDrainBatch, tick_wait_);
+            ring.advanceBy(slot, n);
             if (n == 0) {
                 if (cb_->leader_id.load(std::memory_order_acquire) ==
                     config_.variant_id) {
@@ -1022,7 +1014,7 @@ Monitor::handleExit(int tuple, long nr, const std::uint64_t args[6])
             event.type = ring::EventType::Exit;
             event.nr = static_cast<std::uint16_t>(nr);
             event.result = status;
-            publishEvent(tuple, event, 0);
+            publishEvent(tuple, event);
         } else if (rings_[tuple].consumerActive(slot)) {
             rings_[tuple].detachConsumer(slot);
         }
@@ -1057,7 +1049,7 @@ Monitor::finishVariant(int status)
         event.type = ring::EventType::Exit;
         event.nr = SYS_exit_group;
         event.result = status;
-        publishEvent(currentTuple(), event, 0);
+        publishEvent(currentTuple(), event);
     }
     sys::setDispatcher(nullptr);
     notifyCoordinator(CtrlMsg::VariantExited, status);

@@ -30,6 +30,7 @@
 #include "bpf/rules.h"
 #include "core/channels.h"
 #include "core/layout.h"
+#include "core/tuple_writer.h"
 #include "ring/ring_buffer.h"
 #include "syscalls/classify.h"
 #include "syscalls/sys.h"
@@ -91,13 +92,19 @@ class Monitor : public sys::Dispatcher
      */
     void finishVariant(int status);
 
+    /** What a new tuple runs in: a thread of this process, or a forked
+     *  child process with its own descriptor demux. */
+    enum class TupleKind { Thread, Process };
+
     /**
      * Thread/process tuple protocol (section 3.3.3): the parent calls
      * openTuple() *before* starting the child execution context; the
      * id travels through the event stream so every variant binds the
-     * same tuple to the same logical thread.
+     * same tuple to the same logical thread. A Thread tuple joins this
+     * process's descriptor demux at its Fork event, before the thread
+     * exists (see recvFdFor()).
      */
-    int openTuple();
+    int openTuple(TupleKind kind);
 
     /** Bind the calling thread to a tuple id returned by openTuple. */
     static void bindThreadToTuple(int tuple);
@@ -116,9 +123,14 @@ class Monitor : public sys::Dispatcher
     long handleFork(int tuple, long nr, const std::uint64_t args[6]);
     long handleExit(int tuple, long nr, const std::uint64_t args[6]);
 
-    /** Stamp and publish one leader event through claim(1)/commit. */
-    void publishEvent(int tuple, ring::Event &event,
-                      shmem::Offset payload);
+    /** Stamp and publish one leader event through the tuple's writer;
+     *  the event's kHasPayload payload moves into the ring slot. */
+    void publishEvent(int tuple, ring::Event &event);
+
+    /** Leader side of openTuple(): allocate the next tuple id, claim
+     *  it for the demux when it is a Thread, and publish its Fork on
+     *  @p tuple. */
+    int announceTuple(int tuple, TupleKind kind);
 
     /** Leader-side payload assembly from tuple's pool arena; returns
      *  pool offset (0 = none), reporting global-arena spills. */
@@ -186,7 +198,7 @@ class Monitor : public sys::Dispatcher
     shmem::ShardedPool pool_;
     ring::LamportClock clock_;
     ring::RingBuffer rings_[kMaxTuples];
-    std::uint64_t *shadows_[kMaxTuples];
+    TupleWriter writers_[kMaxTuples];
     bpf::RuleSet rules_;
     std::mutex promote_mutex_;
     ring::WaitSpec tick_wait_;
@@ -215,7 +227,8 @@ class Monitor : public sys::Dispatcher
     FdInbox fd_inboxes_[kMaxVariants];
 
     /** Tuples whose consumer thread lives in *this* process (bit per
-     *  tuple). Plain-fork process tuples share the data channel with
+     *  tuple), set at the tuple's Fork (announceTuple() or the Fork
+     *  branch of dispatchFollower()). Plain-fork process tuples share the data channel with
      *  the parent; the demux must not hold a sibling process's
      *  descriptor hostage, so strays for un-owned tuples fall back to
      *  carrier semantics (any received object mirrors by the event's

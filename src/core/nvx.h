@@ -638,7 +638,7 @@ class VThread
             thread_ = std::thread(std::move(fn));
             return;
         }
-        int tuple = monitor->openTuple();
+        int tuple = monitor->openTuple(Monitor::TupleKind::Thread);
         thread_ = std::thread([tuple, fn = std::move(fn)]() mutable {
             Monitor::bindThreadToTuple(tuple);
             fn();

@@ -91,17 +91,6 @@ RingBuffer::gatingSequence(std::uint64_t head) const
     return min_seq;
 }
 
-void
-RingBuffer::copyOut(std::uint64_t from_seq, Event *out, std::size_t n) const
-{
-    RingControl *ctl = control();
-    const std::uint64_t idx = from_seq & ctl->mask;
-    const std::size_t first = std::min<std::size_t>(n, ctl->capacity - idx);
-    std::memcpy(out, slots() + idx, first * sizeof(Event));
-    if (n > first)
-        std::memcpy(out + first, slots(), (n - first) * sizeof(Event));
-}
-
 std::uint64_t
 RingBuffer::awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
                        std::uint64_t min_free)
@@ -139,7 +128,7 @@ RingBuffer::awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
             continue;
         }
         // Announce, then re-check (rescan()'s fence orders the two):
-        // pairs with the seq_cst cursor store in releaseSlots(), so
+        // pairs with the seq_cst cursor store in advanceBy(), so
         // either the re-check sees the consumer's new cursor or the
         // consumer sees the announcement and wakes space_seq.
         ctl->producer_waiting.store(1, std::memory_order_seq_cst);
@@ -149,40 +138,6 @@ RingBuffer::awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
             futexWait(&ctl->space_seq, observed, 1000000); // 1 ms tick
         ctl->producer_waiting.store(0, std::memory_order_release);
     }
-}
-
-bool
-RingBuffer::publish(const Event &event, const WaitSpec &wait)
-{
-    RingControl *ctl = control();
-    if (awaitSpace(deadlineFor(wait), wait) == 0)
-        return false;
-
-    const std::uint64_t seq = ctl->head.load(std::memory_order_relaxed);
-    slots()[seq & ctl->mask] = event;
-    ctl->head.store(seq + 1, std::memory_order_release);
-    ctl->data_seq.fetch_add(1, std::memory_order_release);
-    if (ctl->consumers_waiting.load(std::memory_order_seq_cst) > 0)
-        futexWake(&ctl->data_seq, kMaxConsumers);
-    return true;
-}
-
-std::size_t
-RingBuffer::publishBatch(std::span<const Event> events, const WaitSpec &wait)
-{
-    const std::uint64_t deadline = deadlineFor(wait);
-    std::size_t published = 0;
-
-    while (published < events.size()) {
-        const std::uint64_t free = awaitSpace(deadline, wait);
-        if (free == 0)
-            break;
-        const std::size_t n = std::min<std::size_t>(
-            free, events.size() - published);
-        commit({events.data() + published, n});
-        published += n;
-    }
-    return published;
 }
 
 bool
@@ -320,88 +275,6 @@ RingBuffer::awaitData(int id, std::uint64_t deadline, const WaitSpec &wait)
     }
 }
 
-void
-RingBuffer::releaseSlots(ConsumerCursor &cur, std::uint64_t next_seq)
-{
-    RingControl *ctl = control();
-    // seq_cst store + seq_cst load: the consumer half of the producer's
-    // announce/re-check in awaitSpace(). Only a producer that announced
-    // itself costs this consumer a write to the shared space_seq line.
-    cur.seq.store(next_seq, std::memory_order_seq_cst);
-    if (ctl->producer_waiting.load(std::memory_order_seq_cst)) {
-        ctl->space_seq.fetch_add(1, std::memory_order_release);
-        futexWake(&ctl->space_seq, 1);
-    }
-}
-
-bool
-RingBuffer::poll(int id, Event *out)
-{
-    RingControl *ctl = control();
-    ConsumerCursor &cur = ctl->cursors[id];
-    std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    if (ctl->head.load(std::memory_order_acquire) <= c)
-        return false;
-    *out = slots()[c & ctl->mask];
-    releaseSlots(cur, c + 1);
-    return true;
-}
-
-std::size_t
-RingBuffer::pollBatch(int id, Event *out, std::size_t max)
-{
-    RingControl *ctl = control();
-    ConsumerCursor &cur = ctl->cursors[id];
-    const std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    const std::uint64_t head = ctl->head.load(std::memory_order_acquire);
-    if (head <= c || max == 0)
-        return 0;
-    const std::size_t n = std::min<std::size_t>(head - c, max);
-    copyOut(c, out, n);
-    releaseSlots(cur, c + n);
-    return n;
-}
-
-bool
-RingBuffer::consume(int id, Event *out, const WaitSpec &wait)
-{
-    RingControl *ctl = control();
-    ConsumerCursor &cur = ctl->cursors[id];
-    std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    if (awaitData(id, deadlineFor(wait), wait) == 0)
-        return false;
-    *out = slots()[c & ctl->mask];
-    releaseSlots(cur, c + 1);
-    return true;
-}
-
-std::size_t
-RingBuffer::consumeBatch(int id, Event *out, std::size_t max,
-                         const WaitSpec &wait)
-{
-    if (max == 0)
-        return 0;
-    RingControl *ctl = control();
-    ConsumerCursor &cur = ctl->cursors[id];
-    const std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    const std::uint64_t avail = awaitData(id, deadlineFor(wait), wait);
-    if (avail == 0)
-        return 0;
-    const std::size_t n = std::min<std::size_t>(avail, max);
-    copyOut(c, out, n);
-    releaseSlots(cur, c + n);
-    return n;
-}
-
-void
-RingBuffer::advance(int id)
-{
-    RingControl *ctl = control();
-    ConsumerCursor &cur = ctl->cursors[id];
-    std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    releaseSlots(cur, c + 1);
-}
-
 std::size_t
 RingBuffer::peekBatch(int id, Event *out, std::size_t max,
                       const WaitSpec &wait)
@@ -415,9 +288,13 @@ RingBuffer::peekBatch(int id, Event *out, std::size_t max,
     if (avail == 0)
         return 0;
     const std::size_t n = std::min<std::size_t>(avail, max);
-    copyOut(c, out, n);
+    const std::uint64_t idx = c & ctl->mask;
+    const std::size_t first = std::min<std::size_t>(n, ctl->capacity - idx);
+    std::memcpy(out, slots() + idx, first * sizeof(Event));
+    if (n > first)
+        std::memcpy(out + first, slots(), (n - first) * sizeof(Event));
     // Cursor untouched: the run stays claimed (and any pool payloads it
-    // references stay alive) until advance()/advanceBy().
+    // references stay alive) until advanceBy().
     return n;
 }
 
@@ -428,8 +305,15 @@ RingBuffer::advanceBy(int id, std::size_t n)
         return;
     RingControl *ctl = control();
     ConsumerCursor &cur = ctl->cursors[id];
-    std::uint64_t c = cur.seq.load(std::memory_order_relaxed);
-    releaseSlots(cur, c + n);
+    // seq_cst store + seq_cst load: the consumer half of the producer's
+    // announce/re-check in awaitSpace(). Only a producer that announced
+    // itself costs this consumer a write to the shared space_seq line.
+    cur.seq.store(cur.seq.load(std::memory_order_relaxed) + n,
+                  std::memory_order_seq_cst);
+    if (ctl->producer_waiting.load(std::memory_order_seq_cst)) {
+        ctl->space_seq.fetch_add(1, std::memory_order_release);
+        futexWake(&ctl->space_seq, 1);
+    }
 }
 
 std::uint64_t

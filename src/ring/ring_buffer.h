@@ -10,7 +10,9 @@
  * buffering window discussed in section 6.
  *
  * Lock-free except for futex sleeps: publishing is a store + release,
- * consuming is a load + cursor advance. Crashed or deliberately slow
+ * consuming is a load + cursor advance. Each side has one two-phase
+ * protocol: the producer claim()s slots and commit()s events into
+ * them; a consumer peekBatch()es a run and advanceBy()s past it. Crashed or deliberately slow
  * followers are deactivated so they stop gating the producer
  * (transparent failover, section 5.1).
  */
@@ -68,29 +70,7 @@ class RingBuffer
     static RingBuffer initialize(const shmem::Region *region,
                                  shmem::Offset off, std::uint32_t capacity);
 
-    bool valid() const { return region_ != nullptr; }
-    shmem::Offset offset() const { return off_; }
-    std::uint32_t capacity() const { return control()->capacity; }
-
     // --- producer side (exactly one thread) ---
-
-    /**
-     * Publish one event; blocks (per @p wait) while the ring is full.
-     * @return false if the deadline expired before space appeared.
-     */
-    bool publish(const Event &event, const WaitSpec &wait = {});
-
-    /**
-     * Publish a run of events, amortizing synchronization: each claimed
-     * chunk costs one release store of head, one data_seq bump and at
-     * most one futex wake regardless of chunk length. Batches larger
-     * than the currently free space are split into chunks as slots open
-     * up, so batches larger than the ring capacity are legal.
-     * @return how many events were published; less than events.size()
-     *         only if the deadline expired while the ring was full.
-     */
-    std::size_t publishBatch(std::span<const Event> events,
-                             const WaitSpec &wait = {});
 
     /**
      * Two-phase publication: claim() blocks until at least @p count
@@ -109,7 +89,7 @@ class RingBuffer
     /** Complete a claim(): copy @p events in and publish them. */
     void commit(std::span<const Event> events);
 
-    /** Sequence number the next publish will use. */
+    /** Sequence number the next claim() will return. */
     std::uint64_t headSeq() const;
 
     /** Consumers currently announced in the waitlock (asleep or about
@@ -127,48 +107,18 @@ class RingBuffer
     /** Release a slot and stop gating the producer on it. */
     void detachConsumer(int id);
 
-    /** Non-blocking read; true if an event was copied out. */
-    bool poll(int id, Event *out);
-
-    /**
-     * Non-blocking batched read: drains up to @p max already-published
-     * events with a single acquire of head and a single cursor advance.
-     * @return how many events were copied into @p out (0 when empty).
-     */
-    std::size_t pollBatch(int id, Event *out, std::size_t max);
-
-    /**
-     * Blocking read honouring the wait policy.
-     * @return false on deadline expiry (no event copied).
-     */
-    bool consume(int id, Event *out, const WaitSpec &wait = {});
-
-    /**
-     * Blocking batched read: waits (per @p wait) for at least one
-     * event, then drains min(available, max) in one synchronization
-     * round. Slots are released to the producer immediately, so callers
-     * must not touch pool payloads referenced by the returned events
-     * after further production (copy them out first, or use
-     * peekBatch()/advanceBy() for payload-carrying streams).
-     * @return events copied; 0 on deadline expiry.
-     */
-    std::size_t consumeBatch(int id, Event *out, std::size_t max,
-                             const WaitSpec &wait = {});
-
     /**
      * Two-phase consumption: waits (per @p wait) for at least one
      * event, then copies min(available, max) without moving the cursor.
-     * The copied run stays claimed until advance()/advanceBy() releases
-     * it, so pool payloads referenced by the events remain valid while
-     * the consumer works through the run (the producer may free a
-     * payload once its slot is reused).
+     * The copied run stays claimed until advanceBy() releases it, so
+     * pool payloads referenced by the events remain valid while the
+     * consumer works through the run (the producer may free a payload
+     * once its slot is reused). A consumer that reads no payload may
+     * advance the whole run at once.
      * @return events copied; 0 on deadline expiry.
      */
     std::size_t peekBatch(int id, Event *out, std::size_t max,
                           const WaitSpec &wait = {});
-
-    /** Complete one event of a peekBatch(). */
-    void advance(int id);
 
     /** Complete (part of) a peekBatch(): advance @p n events at once. */
     void advanceBy(int id, std::size_t n);
@@ -199,22 +149,15 @@ class RingBuffer
     Event *slots() const;
     std::uint64_t gatingSequence(std::uint64_t head) const;
 
-    /** Copy @p n events starting at @p from_seq out of the (possibly
-     *  wrapping) slot array. */
-    void copyOut(std::uint64_t from_seq, Event *out, std::size_t n) const;
-
     /** Wait until ≥ @p min_free slots are free; returns the free slot
      *  count (0 = deadline expired first). */
     std::uint64_t awaitSpace(std::uint64_t deadline, const WaitSpec &wait,
-                             std::uint64_t min_free = 1);
+                             std::uint64_t min_free);
 
     /** Wait until ≥1 event is readable by @p id; returns available
      *  count (0 = deadline expired). */
     std::uint64_t awaitData(int id, std::uint64_t deadline,
                             const WaitSpec &wait);
-
-    /** Advance @p cur to @p next_seq and wake a blocked producer. */
-    void releaseSlots(ConsumerCursor &cur, std::uint64_t next_seq);
 
     /** Activate cursor @p id at the current head (slot already won). */
     void armCursor(int id);

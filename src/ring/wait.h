@@ -25,14 +25,6 @@ struct WaitSpec {
     bool busy_only = false;
 
     static WaitSpec
-    busyWait()
-    {
-        WaitSpec w;
-        w.busy_only = true;
-        return w;
-    }
-
-    static WaitSpec
     withTimeout(std::uint64_t ns)
     {
         WaitSpec w;

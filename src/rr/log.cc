@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "core/layout.h"
 
 namespace varan::rr {
 
@@ -72,26 +73,31 @@ LogReader::next(LogRecord *out)
         return truncated_ ? Next::Truncated : Next::End;
     }
 
+    // A record that fails its checksum ends the valid prefix, and so
+    // does one naming no tuple, whatever its checksum says (a v1 log
+    // has none): the replayer indexes the layout by that tuple.
+    // Everything already yielded stays good.
+    auto truncate = [this] {
+        done_ = true;
+        truncated_ = true;
+        return Next::Truncated;
+    };
+    if (rec.tuple >= core::kMaxTuples)
+        return truncate();
+
     out->tuple = rec.tuple;
     out->event = rec.event;
     out->payload.resize(rec.payload_size);
     if (rec.payload_size > 0 &&
         std::fread(out->payload.data(), 1, rec.payload_size, file_) !=
             rec.payload_size) {
-        done_ = true;
-        truncated_ = true;
-        return Next::Truncated;
+        return truncate();
     }
     if (version_ >= 2) {
         const std::uint32_t crc = recordChecksum(
             rec, out->payload.empty() ? nullptr : out->payload.data());
-        if (crc != rec.record_crc) {
-            // A record that fails its checksum ends the valid prefix;
-            // everything already yielded stays good.
-            done_ = true;
-            truncated_ = true;
-            return Next::Truncated;
-        }
+        if (crc != rec.record_crc)
+            return truncate();
     }
     return Next::Record;
 }

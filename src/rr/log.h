@@ -151,8 +151,8 @@ struct LogContents {
  * Streaming (non-slurping) log iteration: open() validates the header
  * (bad magic is EPROTO, an unknown version is ENOTSUP — decodable, not
  * parsed as garbage), then next() yields one record at a time without
- * materialising the whole log. A torn or checksum-failing tail ends
- * the stream with Truncated.
+ * materialising the whole log. A torn tail, or a record that fails
+ * its checksum or names no tuple, ends the stream with Truncated.
  */
 class LogReader
 {

@@ -3,37 +3,9 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "core/tuple_writer.h"
 
 namespace varan::rr {
-
-namespace {
-
-/** Shared with Monitor::publishEvent: recycle the slot's old payload. */
-void
-publishWithShadow(const shmem::Region *region,
-                  const core::EngineLayout *layout, std::uint32_t tuple,
-                  ring::Event &event, shmem::Offset payload)
-{
-    core::ControlBlock *cb = layout->controlBlock(region);
-    shmem::ShardedPool pool = layout->pool(region);
-    ring::RingBuffer ring = layout->tupleRing(region, tuple);
-    std::uint64_t *shadow = layout->tupleShadow(region, tuple);
-    ring::WaitSpec wait;
-    wait.timeout_ns = core::kPublishStallNs;
-    std::uint64_t seq = 0;
-    if (!ring.claim(1, &seq, wait))
-        panic("replay publish stalled");
-    // Recycle only once the slot is claimed: by then the gating
-    // protocol has proven every consumer is done with the old payload.
-    std::uint64_t idx = seq & (cb->ring_capacity - 1);
-    if (shadow[idx] != 0)
-        pool.release(shadow[idx]);
-    shadow[idx] = payload;
-    ring.commit({&event, 1});
-    cb->events_streamed.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
 
 Replayer::Replayer(const shmem::Region *region,
                    const core::EngineLayout *layout, std::string path)
@@ -52,9 +24,16 @@ Replayer::open()
 Status
 Replayer::publishRecord(const LogRecord &record)
 {
-    shmem::ShardedPool pool = layout_->pool(region_);
-    core::ControlBlock *cb = layout_->controlBlock(region_);
+    // Fork events activate tuples exactly as a live leader would (a
+    // second pass re-activates them idempotently). A Fork naming no
+    // tuple is a corrupt log, not a reason to abort the process.
+    if (record.event.type == ring::EventType::Fork &&
+        !core::activateTuple(layout_->controlBlock(region_),
+                             record.event.args[0])) {
+        return Status(Errno{EPROTO});
+    }
 
+    shmem::ShardedPool pool = layout_->pool(region_);
     shmem::Offset payload = 0;
     if (!record.payload.empty()) {
         const auto size =
@@ -86,21 +65,9 @@ Replayer::publishRecord(const LogRecord &record)
         event.payload_size = 0;
     }
 
-    // Fork events activate tuples exactly as a live leader would (a
-    // second pass re-activates them idempotently).
-    if (event.type == ring::EventType::Fork) {
-        auto t = static_cast<std::uint32_t>(event.args[0]);
-        VARAN_CHECK(t < core::kMaxTuples);
-        std::uint32_t current =
-            cb->num_tuples.load(std::memory_order_acquire);
-        while (current <= t && !cb->num_tuples.compare_exchange_weak(
-                                   current, t + 1,
-                                   std::memory_order_acq_rel)) {
-        }
-        cb->tuples[t].active.store(1, std::memory_order_release);
-    }
-
-    publishWithShadow(region_, layout_, record.tuple, event, payload);
+    core::TupleWriter writer(region_, *layout_, record.tuple);
+    if (writer.publish({&event, 1}, core::publishWait()) == 0)
+        panic("replay publish stalled");
     ++stats_.events;
     return Status::ok();
 }

@@ -40,7 +40,7 @@ class Replayer
         std::uint64_t events = 0;
         std::uint64_t payload_bytes = 0;
         std::uint32_t passes = 0;  ///< completed log passes (rewinds + 1)
-        bool truncated = false;    ///< the log ended in a torn record
+        bool truncated = false;    ///< the log ended in a bad record
     };
 
     Replayer(const shmem::Region *region, const core::EngineLayout *layout,
@@ -68,7 +68,8 @@ class Replayer
 
     /** Every record up to the end of the valid prefix was published. */
     bool finished() const { return finished_; }
-    /** The prefix ended in a torn or checksum-failing record. */
+    /** The prefix ended in a torn record, or one that failed its
+     *  checksum or named no tuple. */
     bool truncated() const { return stats_.truncated; }
 
     Stats stats() const { return stats_; }

@@ -252,7 +252,6 @@ bool
 Receiver::prepareEvent(std::uint32_t tuple, ring::Event &event,
                        const std::uint8_t *payload_bytes)
 {
-    core::ControlBlock *cb = layout_->controlBlock(region_);
     shmem::ShardedPool pool = layout_->pool(region_);
 
     // Re-host the payload in the local arena of the publishing tuple —
@@ -280,18 +279,8 @@ Receiver::prepareEvent(std::uint32_t tuple, ring::Event &event,
     event.flags &= ~static_cast<std::uint32_t>(ring::kFdTransfer);
 
     // Fork events open tuples here exactly as a live leader would.
-    if (event.type == ring::EventType::Fork) {
-        auto t = static_cast<std::uint32_t>(event.args[0]);
-        if (t < core::kMaxTuples) {
-            std::uint32_t current =
-                cb->num_tuples.load(std::memory_order_acquire);
-            while (current <= t &&
-                   !cb->num_tuples.compare_exchange_weak(
-                       current, t + 1, std::memory_order_acq_rel)) {
-            }
-            cb->tuples[t].active.store(1, std::memory_order_release);
-        }
-    }
+    if (event.type == ring::EventType::Fork)
+        core::activateTuple(layout_->controlBlock(region_), event.args[0]);
     return true;
 }
 
@@ -301,36 +290,13 @@ Receiver::publishRun(std::uint32_t tuple, ring::Event *events,
 {
     // The batched mirror of the shipper's relaxed shipping: one
     // claim/commit — one head store, one wake — per ring chunk rather
-    // than per event. Shadow recycling per claimed slot, exactly like
-    // the leader's publishEvent.
+    // than per event.
+    core::TupleWriter writer(region_, *layout_, tuple);
+    const std::size_t done =
+        writer.publish({events, count}, core::publishWait());
+    if (done < count)
+        warn("wire receiver: local ring %u wedged", tuple);
     core::ControlBlock *cb = layout_->controlBlock(region_);
-    shmem::ShardedPool pool = layout_->pool(region_);
-    ring::RingBuffer ring = layout_->tupleRing(region_, tuple);
-    std::uint64_t *shadow = layout_->tupleShadow(region_, tuple);
-    const std::uint64_t mask = cb->ring_capacity - 1;
-    ring::WaitSpec wait;
-    wait.timeout_ns = options_.publish_timeout_ns;
-
-    std::size_t done = 0;
-    while (done < count) {
-        const std::size_t chunk =
-            std::min<std::size_t>(count - done, cb->ring_capacity);
-        std::uint64_t seq = 0;
-        if (!ring.claim(chunk, &seq, wait)) {
-            warn("wire receiver: local ring %u wedged", tuple);
-            break;
-        }
-        for (std::size_t k = 0; k < chunk; ++k) {
-            const ring::Event &event = events[done + k];
-            std::uint64_t idx = (seq + k) & mask;
-            if (shadow[idx] != 0)
-                pool.release(shadow[idx]);
-            shadow[idx] = event.hasPayload() ? event.payload : 0;
-        }
-        ring.commit({events + done, chunk});
-        done += chunk;
-    }
-    cb->events_streamed.fetch_add(done, std::memory_order_relaxed);
     if (done > 0 && trace::enabled(cb->trace)) {
         trace::stamp(cb->trace, trace::Stage::ReceiverPublish, 0,
                      static_cast<std::uint8_t>(tuple),

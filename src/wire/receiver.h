@@ -5,10 +5,9 @@
  *
  * A Receiver owns the socket end facing a Shipper and re-materializes
  * the incoming frame stream into a *local* engine layout: events are
- * republished into the local tuple rings through the same two-phase
- * claim()/commit() + payload-shadow protocol the leader uses, and
- * payload frames are re-hosted in the local ShardedPool arena of the
- * publishing tuple. A follower running against this layout (an
+ * republished into the local tuple rings through the leader's own
+ * core::TupleWriter, and payload frames are re-hosted in the local
+ * ShardedPool arena of the publishing tuple. A follower running against this layout (an
  * external-leader engine, exactly like record-replay) consumes the
  * remote stream through the completely unmodified dispatchFollower()
  * loop — divergence detection, payload application and Lamport-clock
@@ -70,6 +69,7 @@
 #include <vector>
 
 #include "core/layout.h"
+#include "core/tuple_writer.h"
 #include "quorum/lease.h"
 #include "rr/log.h"
 #include "wire/protocol.h"
@@ -83,8 +83,6 @@ class Receiver
     struct Options {
         /** Send a Credit frame at least every this many events. */
         std::size_t credit_every = 64;
-        /** Ring-publish deadline before the link is dropped (ns). */
-        std::uint64_t publish_timeout_ns = core::kPublishStallNs;
         /**
          * Cross-node failover deadline: when the link is down (or the
          * leader stops answering the Status-RPC liveness probe) for
@@ -244,7 +242,9 @@ class Receiver
     /** Re-host one event's payload locally and virtualise its flags. */
     bool prepareEvent(std::uint32_t tuple, ring::Event &event,
                       const std::uint8_t *payload_bytes);
-    /** Publish a prepared run with one claim/commit per ring chunk.
+    /** Publish a prepared run with one claim/commit per ring chunk; a
+     *  ring still full after kPublishStallNs is warned about, and the
+     *  caller drops the link.
      *  @return events actually published (committed slots own their
      *  payloads; the caller must release the rest on shortfall). */
     std::size_t publishRun(std::uint32_t tuple, ring::Event *events,

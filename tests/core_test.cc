@@ -26,6 +26,7 @@
 
 #include "common/checksum.h"
 #include "core/nvx.h"
+#include "core/tuple_writer.h"
 #include "syscalls/sys.h"
 
 // Deliberate-SIGSEGV tests fight ASan's own SEGV interceptor: both the
@@ -495,15 +496,16 @@ TEST(NvxTest, FollowerStuckOnAMissingTimestampPanics)
     Nvx nvx(config);
     testing::internal::CaptureStderr();
     ASSERT_TRUE(nvx.start({app}).isOk());
-    ring::RingBuffer ring = nvx.layout().tupleRing(nvx.region(), 0);
+    TupleWriter writer(nvx.region(), nvx.layout(), 0);
     for (std::uint64_t ts : {1, 3}) {
         ring::Event event = {};
         event.type = ring::EventType::Syscall;
         event.nr = SYS_getpid;
         event.result = 4242;
         event.timestamp = ts;
-        ASSERT_TRUE(
-            ring.publish(event, ring::WaitSpec::withTimeout(5000000000ULL)));
+        ASSERT_EQ(writer.publish({&event, 1},
+                                 ring::WaitSpec::withTimeout(5000000000ULL)),
+                  1u);
     }
     auto results = nvx.waitFor(20000000000ULL);
     const std::string log = testing::internal::GetCapturedStderr();
@@ -1175,6 +1177,188 @@ TEST(NvxTest, AnonymousEntryPointsStillRun)
         EXPECT_EQ(r.status, 6);
     }
     EXPECT_GE(nvx.eventsStreamed(), 1u);
+}
+
+// --- the one producer protocol: core::TupleWriter ---
+
+/** A leader (variant 0) and one follower whose cursor (slot 1) is
+ *  pre-attached on every tuple ring, with ring capacity 4. */
+class TupleWriterTest : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint32_t kCapacity = 4;
+    static constexpr int kFollower = 1;
+
+    void
+    SetUp() override
+    {
+        auto r = shmem::Region::create(4 << 20);
+        ASSERT_TRUE(r.ok());
+        region_ = std::move(r.value());
+        layout_ = EngineLayout::create(&region_, 2, 0, kCapacity);
+        writer_ = TupleWriter(&region_, layout_, 0);
+        ring_ = layout_.tupleRing(&region_, 0);
+        pool_ = layout_.pool(&region_);
+    }
+
+    static ring::Event
+    event(std::uint64_t ts)
+    {
+        ring::Event e = {};
+        e.type = ring::EventType::Syscall;
+        e.timestamp = ts;
+        return e;
+    }
+
+    /** An event owning a fresh pool chunk. */
+    ring::Event
+    payloadEvent(std::uint64_t ts)
+    {
+        ring::Event e = event(ts);
+        shmem::Offset payload = pool_.allocate(0, 32, 1);
+        EXPECT_NE(payload, 0u);
+        e.flags |= ring::kHasPayload;
+        e.payload = static_cast<std::uint32_t>(payload);
+        e.payload_size = 32;
+        return e;
+    }
+
+    /** The follower drains everything published so far. */
+    void
+    drain()
+    {
+        ring::Event run[kCapacity];
+        while (ring_.lag(kFollower) > 0)
+            ring_.advanceBy(kFollower,
+                            ring_.peekBatch(kFollower, run, kCapacity));
+    }
+
+    std::uint64_t
+    streamed()
+    {
+        return layout_.controlBlock(&region_)->events_streamed.load();
+    }
+
+    shmem::Region region_;
+    EngineLayout layout_;
+    TupleWriter writer_;
+    ring::RingBuffer ring_;
+    shmem::ShardedPool pool_;
+};
+
+TEST_F(TupleWriterTest, RunLargerThanCapacityArrivesInOrder)
+{
+    // 250x the ring: the writer claims capacity-sized chunks as the
+    // follower frees them, and the follower sees one gap-free stream.
+    constexpr std::uint64_t kTotal = 1000;
+    std::vector<ring::Event> run;
+    for (std::uint64_t ts = 1; ts <= kTotal; ++ts)
+        run.push_back(event(ts));
+
+    std::atomic<bool> in_order{true};
+    std::thread follower([&] {
+        ring::Event out[kCapacity];
+        ring::WaitSpec wait = ring::WaitSpec::withTimeout(10000000000ULL);
+        wait.spin_iterations = 64;
+        for (std::uint64_t next = 1; next <= kTotal;) {
+            const std::size_t n =
+                ring_.peekBatch(kFollower, out, kCapacity, wait);
+            if (n == 0)
+                in_order = false;
+            for (std::size_t i = 0; i < n; ++i, ++next) {
+                if (out[i].timestamp != next)
+                    in_order = false;
+            }
+            ring_.advanceBy(kFollower, n);
+            if (!in_order)
+                return;
+        }
+    });
+    EXPECT_EQ(writer_.publish(run, ring::WaitSpec::withTimeout(
+                                       10000000000ULL)),
+              kTotal);
+    follower.join();
+    EXPECT_TRUE(in_order);
+    EXPECT_EQ(streamed(), kTotal);
+}
+
+TEST_F(TupleWriterTest, StallReturnsThePublishedPrefix)
+{
+    // The follower never reads: one chunk fits, the next claim
+    // outlasts the deadline, and the count says how far the run got.
+    ring::WaitSpec wait = ring::WaitSpec::withTimeout(20000000); // 20 ms
+    wait.spin_iterations = 16;
+    std::vector<ring::Event> run;
+    for (std::uint64_t ts = 1; ts <= 6; ++ts)
+        run.push_back(event(ts));
+    EXPECT_EQ(writer_.publish(run, wait), kCapacity);
+    EXPECT_EQ(ring_.lag(kFollower), kCapacity);
+    EXPECT_EQ(streamed(), kCapacity);
+    EXPECT_EQ(writer_.publish({&run[4], 1}, wait), 0u);
+
+    // Freeing one slot lets exactly one more event in.
+    ring::Event out;
+    ASSERT_EQ(ring_.peekBatch(kFollower, &out, 1), 1u);
+    ring_.advanceBy(kFollower, 1);
+    EXPECT_EQ(writer_.publish({&run[4], 1}, wait), 1u);
+    EXPECT_EQ(streamed(), kCapacity + 1);
+}
+
+TEST_F(TupleWriterTest, ReusedSlotReleasesItsOldPayload)
+{
+    std::vector<ring::Event> run;
+    for (std::uint64_t ts = 1; ts <= kCapacity; ++ts)
+        run.push_back(payloadEvent(ts));
+    ASSERT_EQ(writer_.publish(run, {}), kCapacity);
+    EXPECT_EQ(pool_.liveAllocations(), kCapacity);
+
+    // The payloads stay alive while the follower still reads their
+    // slots; reusing a slot is what frees the payload it held.
+    drain();
+    EXPECT_EQ(pool_.liveAllocations(), kCapacity);
+    for (std::uint64_t ts = 5; ts <= 6; ++ts) {
+        const ring::Event e = event(ts);
+        ASSERT_EQ(writer_.publish({&e, 1}, {}), 1u);
+    }
+    EXPECT_EQ(pool_.liveAllocations(), kCapacity - 2);
+}
+
+TEST_F(TupleWriterTest, ContentHashIsNeverReleasedAsAPayload)
+{
+    // A kDataHash event keeps its CRC in `payload` without kHasPayload.
+    // Make the hash collide with a live chunk's offset: recycling the
+    // slot must leave that chunk alone.
+    const shmem::Offset live = pool_.allocate(0, 32, 1);
+    ASSERT_NE(live, 0u);
+    ring::Event hashed = event(1);
+    hashed.flags |= ring::kDataHash;
+    hashed.payload = static_cast<std::uint32_t>(live);
+    hashed.payload_size = 512;
+    ASSERT_EQ(writer_.publish({&hashed, 1}, {}), 1u);
+    for (std::uint64_t ts = 2; ts <= 2 * kCapacity; ++ts) {
+        drain();
+        const ring::Event e = event(ts);
+        ASSERT_EQ(writer_.publish({&e, 1}, {}), 1u);
+    }
+    EXPECT_EQ(pool_.refcount(live), 1u);
+    EXPECT_EQ(pool_.liveAllocations(), 1u);
+}
+
+TEST_F(TupleWriterTest, ActivateTupleRejectsIdsOutOfRange)
+{
+    ControlBlock *cb = layout_.controlBlock(&region_);
+    EXPECT_FALSE(activateTuple(cb, kMaxTuples));
+    EXPECT_FALSE(activateTuple(cb, ~0ULL));
+    EXPECT_EQ(cb->num_tuples.load(), 1u);
+
+    // A mirror can see tuple 3's Fork without 1 and 2's; a second pass
+    // re-activates without moving num_tuples back.
+    EXPECT_TRUE(activateTuple(cb, 3));
+    EXPECT_EQ(cb->num_tuples.load(), 4u);
+    EXPECT_TRUE(activateTuple(cb, 1));
+    EXPECT_EQ(cb->num_tuples.load(), 4u);
+    EXPECT_EQ(cb->tuples[3].active.load(), 1u);
+    EXPECT_EQ(cb->tuples[1].active.load(), 1u);
 }
 
 } // namespace

@@ -158,8 +158,9 @@ TEST(RewriteEngineTest, PatchedMachineCodeStreamsThroughTheEngine)
         using Fn = long (*)();
         long pid = reinterpret_cast<Fn>(code)();
         // getpid is replicated: every variant must see the leader's pid
-        // through the patched instruction.
-        return static_cast<int>(pid & 0x7f);
+        // through the patched instruction. Mapped into 1..90 so it can
+        // never read as the 98/99 failure sentinels.
+        return static_cast<int>(pid % 90 + 1);
     };
 
     core::Nvx nvx(engineConfig());

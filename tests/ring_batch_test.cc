@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the batched ring-buffer fast path: publishBatch claims a
- * contiguous sequence range with one synchronization round, consumeBatch
- * and pollBatch drain runs of events with a single cursor advance. Also
+ * Tests for the ring's run-at-a-time protocols: claim() reserves a
+ * contiguous sequence range and commit() publishes it with one
+ * synchronization round; peekBatch() reads a run that stays claimed
+ * until advanceBy() releases it with a single cursor advance. Also
  * covers the SPSC queue batch operations and the batched event pump.
  */
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "harness/ring_ops.h"
 #include "ring/event.h"
 #include "ring/event_pump.h"
 #include "ring/ring_buffer.h"
@@ -69,31 +71,29 @@ TEST_F(RingBatchTest, BatchRoundTrip)
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
 
-    std::vector<Event> in = makeRun(1, 10);
-    EXPECT_EQ(ring_.publishBatch(in), 10u);
+    EXPECT_TRUE(publishRun(ring_, makeRun(1, 10)));
     EXPECT_EQ(ring_.headSeq(), 10u);
 
     Event out[16];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 16), 10u);
+    ASSERT_EQ(takeRun(ring_, id, out, 16), 10u);
     for (std::uint64_t i = 0; i < 10; ++i) {
         EXPECT_EQ(out[i].timestamp, i + 1);
         EXPECT_EQ(out[i].result, static_cast<std::int64_t>(i + 1));
     }
-    EXPECT_EQ(ring_.lag(id), 0u);
-    EXPECT_EQ(ring_.pollBatch(id, out, 16), 0u); // drained
+    EXPECT_EQ(ring_.lag(id), 0u); // drained
 }
 
-TEST_F(RingBatchTest, ConsumeBatchHonoursMax)
+TEST_F(RingBatchTest, PeekBatchHonoursMax)
 {
     init(16);
     int id = ring_.attachConsumer();
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 12)), 12u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 12)));
 
     Event out[16];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 5), 5u);
+    ASSERT_EQ(takeRun(ring_, id, out, 5), 5u);
     EXPECT_EQ(out[4].timestamp, 5u);
     EXPECT_EQ(ring_.lag(id), 7u);
-    ASSERT_EQ(ring_.pollBatch(id, out, 16), 7u);
+    ASSERT_EQ(takeRun(ring_, id, out, 16), 7u);
     EXPECT_EQ(out[0].timestamp, 6u);
     EXPECT_EQ(out[6].timestamp, 12u);
 }
@@ -107,41 +107,14 @@ TEST_F(RingBatchTest, PartialBatchWrapAroundAtCapacityBoundary)
     // Advance the cursor so the next batch straddles the wrap point:
     // 5 consumed of 5 published leaves head at 5; a batch of 8 then
     // occupies slots 5,6,7,0,1,2,3,4.
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 5)), 5u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 5)));
     Event out[8];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 8), 5u);
+    ASSERT_EQ(takeRun(ring_, id, out, 8), 5u);
 
-    ASSERT_EQ(ring_.publishBatch(makeRun(6, 8)), 8u);
-    ASSERT_EQ(ring_.consumeBatch(id, out, 8), 8u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(6, 8)));
+    ASSERT_EQ(takeRun(ring_, id, out, 8), 8u);
     for (std::uint64_t i = 0; i < 8; ++i)
         EXPECT_EQ(out[i].timestamp, 6 + i);
-}
-
-TEST_F(RingBatchTest, BatchLargerThanCapacityChunks)
-{
-    init(4);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    constexpr std::size_t kTotal = 1000;
-
-    std::thread consumer([&] {
-        Event out[4];
-        WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
-        w.spin_iterations = 64;
-        std::uint64_t next = 1;
-        while (next <= kTotal) {
-            std::size_t n = ring_.consumeBatch(id, out, 4, w);
-            ASSERT_GT(n, 0u);
-            for (std::size_t i = 0; i < n; ++i, ++next)
-                ASSERT_EQ(out[i].timestamp, next);
-        }
-    });
-
-    WaitSpec pw = WaitSpec::withTimeout(10000000000ULL);
-    // A single call with a batch 250x the ring capacity must chunk
-    // internally and deliver everything in order.
-    EXPECT_EQ(ring_.publishBatch(makeRun(1, kTotal), pw), kTotal);
-    consumer.join();
 }
 
 TEST_F(RingBatchTest, BatchAndSingleEventInterleave)
@@ -150,70 +123,23 @@ TEST_F(RingBatchTest, BatchAndSingleEventInterleave)
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
 
-    ASSERT_TRUE(ring_.publish(makeEvent(1, 0, 0)));
-    ASSERT_EQ(ring_.publishBatch(makeRun(2, 4)), 4u);
-    ASSERT_TRUE(ring_.publish(makeEvent(6, 0, 0)));
-    ASSERT_EQ(ring_.publishBatch(makeRun(7, 3)), 3u);
+    ASSERT_TRUE(publishOne(ring_, makeEvent(1, 0, 0)));
+    ASSERT_TRUE(publishRun(ring_, makeRun(2, 4)));
+    ASSERT_TRUE(publishOne(ring_, makeEvent(6, 0, 0)));
+    ASSERT_TRUE(publishRun(ring_, makeRun(7, 3)));
 
-    // Mixed draining: single poll, then a batch, then singles.
+    // Mixed draining: a single event, then a run, then singles.
     Event out[16];
-    ASSERT_TRUE(ring_.poll(id, &out[0]));
+    ASSERT_TRUE(takeOne(ring_, id, &out[0]));
     EXPECT_EQ(out[0].timestamp, 1u);
-    ASSERT_EQ(ring_.consumeBatch(id, out, 5), 5u);
+    ASSERT_EQ(takeRun(ring_, id, out, 5), 5u);
     for (std::uint64_t i = 0; i < 5; ++i)
         EXPECT_EQ(out[i].timestamp, 2 + i);
     for (std::uint64_t ts = 7; ts <= 9; ++ts) {
-        ASSERT_TRUE(ring_.consume(id, &out[0],
-                                  WaitSpec::withTimeout(1000000000ULL)));
+        ASSERT_TRUE(takeOne(ring_, id, &out[0],
+                            WaitSpec::withTimeout(1000000000ULL)));
         EXPECT_EQ(out[0].timestamp, ts);
     }
-}
-
-TEST_F(RingBatchTest, SlowConsumerBackpressureUnderBatching)
-{
-    init(4);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-
-    // Consumer never drains: only the free capacity is published before
-    // the deadline expires, and the count reports the partial progress.
-    WaitSpec w = WaitSpec::withTimeout(30000000); // 30 ms
-    w.spin_iterations = 16;
-    EXPECT_EQ(ring_.publishBatch(makeRun(1, 10), w), 4u);
-    EXPECT_EQ(ring_.lag(id), 4u);
-
-    // Draining two slots lets exactly two more events through.
-    Event out[4];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 2), 2u);
-    EXPECT_EQ(ring_.publishBatch(makeRun(5, 10), w), 2u);
-
-    // Full drain: order survived the partial publishes.
-    ASSERT_EQ(ring_.consumeBatch(id, out, 4), 4u);
-    EXPECT_EQ(out[0].timestamp, 3u);
-    EXPECT_EQ(out[3].timestamp, 6u);
-}
-
-TEST_F(RingBatchTest, PublishBatchTimesOutAtZeroWhenFull)
-{
-    init(4);
-    int id = ring_.attachConsumer();
-    ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 4)), 4u);
-    WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
-    w.spin_iterations = 16;
-    EXPECT_EQ(ring_.publishBatch(makeRun(5, 3), w), 0u);
-}
-
-TEST_F(RingBatchTest, ConsumeBatchTimesOutOnSilence)
-{
-    init(8);
-    int id = ring_.attachConsumer();
-    Event out[8];
-    WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
-    w.spin_iterations = 8;
-    std::uint64_t t0 = monotonicNs();
-    EXPECT_EQ(ring_.consumeBatch(id, out, 8, w), 0u);
-    EXPECT_GE(monotonicNs() - t0, 15000000ULL);
 }
 
 TEST_F(RingBatchTest, EveryConsumerSeesEveryBatchedEvent)
@@ -236,7 +162,7 @@ TEST_F(RingBatchTest, EveryConsumerSeesEveryBatchedEvent)
             w.spin_iterations = 128;
             std::uint64_t next = 1;
             while (next <= kEvents) {
-                std::size_t n = ring_.consumeBatch(ids[i], out, 16, w);
+                std::size_t n = takeRun(ring_, ids[i], out, 16, w);
                 if (n == 0) {
                     failures.fetch_add(1);
                     return;
@@ -256,7 +182,7 @@ TEST_F(RingBatchTest, EveryConsumerSeesEveryBatchedEvent)
     // Vary the batch size so claims land on every alignment.
     for (std::size_t b = 1; published < kEvents; b = (b % 13) + 1) {
         std::size_t n = std::min<std::uint64_t>(b, kEvents - published);
-        ASSERT_EQ(ring_.publishBatch(makeRun(published + 1, n), pw), n);
+        ASSERT_TRUE(publishRun(ring_, makeRun(published + 1, n), pw));
         published += n;
     }
     for (auto &t : consumers)
@@ -276,13 +202,13 @@ TEST_F(RingBatchTest, ClaimCommitRoundTrip)
     ASSERT_TRUE(ring_.claim(4, &seq));
     EXPECT_EQ(seq, 0u);
     // Nothing is visible until commit.
-    Event out[16];
-    EXPECT_EQ(ring_.pollBatch(id, out, 16), 0u);
+    EXPECT_EQ(ring_.lag(id), 0u);
 
     std::vector<Event> in = makeRun(1, 4);
     ring_.commit(in);
     EXPECT_EQ(ring_.headSeq(), 4u);
-    ASSERT_EQ(ring_.pollBatch(id, out, 16), 4u);
+    Event out[16];
+    ASSERT_EQ(takeRun(ring_, id, out, 16), 4u);
     for (std::uint64_t i = 0; i < 4; ++i)
         EXPECT_EQ(out[i].timestamp, i + 1);
 }
@@ -292,7 +218,7 @@ TEST_F(RingBatchTest, ClaimWaitsForContiguousRun)
     init(4);
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 3)), 3u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 3)));
 
     // Only one slot free: a claim for two must time out...
     WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
@@ -302,11 +228,11 @@ TEST_F(RingBatchTest, ClaimWaitsForContiguousRun)
 
     // ...and succeed once the consumer released enough slots.
     Event out[4];
-    ASSERT_EQ(ring_.consumeBatch(id, out, 2), 2u);
+    ASSERT_EQ(takeRun(ring_, id, out, 2), 2u);
     ASSERT_TRUE(ring_.claim(2, &seq, w));
     EXPECT_EQ(seq, 3u);
     ring_.commit(makeRun(4, 2));
-    ASSERT_EQ(ring_.pollBatch(id, out, 4), 3u);
+    ASSERT_EQ(takeRun(ring_, id, out, 4), 3u);
     EXPECT_EQ(out[2].timestamp, 5u);
 }
 
@@ -317,7 +243,7 @@ TEST_F(RingBatchTest, PeekBatchDoesNotAdvance)
     init(16);
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 5)), 5u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 5)));
 
     Event out[16];
     ASSERT_EQ(ring_.peekBatch(id, out, 16), 5u);
@@ -343,17 +269,17 @@ TEST_F(RingBatchTest, PeekedRunKeepsSlotsClaimedAgainstProducer)
     init(4);
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 4)), 4u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 4)));
 
     Event out[4];
     ASSERT_EQ(ring_.peekBatch(id, out, 4), 4u);
     WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
     w.spin_iterations = 16;
-    EXPECT_EQ(ring_.publishBatch(makeRun(5, 1), w), 0u);
+    EXPECT_FALSE(publishRun(ring_, makeRun(5, 1), w));
 
     // Advancing the peeked run opens the gate again.
     ring_.advanceBy(id, 4);
-    EXPECT_EQ(ring_.publishBatch(makeRun(5, 1), w), 1u);
+    EXPECT_TRUE(publishRun(ring_, makeRun(5, 1), w));
     for (std::uint64_t i = 0; i < 4; ++i)
         EXPECT_EQ(out[i].timestamp, i + 1); // copies survived
 }
@@ -363,12 +289,12 @@ TEST_F(RingBatchTest, AdvanceByWakesBlockedProducer)
     init(4);
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
-    ASSERT_EQ(ring_.publishBatch(makeRun(1, 4)), 4u);
+    ASSERT_TRUE(publishRun(ring_, makeRun(1, 4)));
 
     std::thread producer([&] {
         WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
         w.spin_iterations = 0; // force the futex path
-        EXPECT_EQ(ring_.publishBatch(makeRun(5, 2), w), 2u);
+        EXPECT_TRUE(publishRun(ring_, makeRun(5, 2), w));
     });
 
     Event out[4];

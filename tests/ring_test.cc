@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the event-streaming layer: the 64-byte event, the
- * Disruptor-style ring buffer (SPMC, backpressure, waitlocks, detach),
+ * Disruptor-style ring buffer driven through its claim/commit and
+ * peekBatch/advanceBy protocols (SPMC, backpressure, waitlocks, detach),
  * the Lamport clock gate and the legacy event-pump baseline.
  */
 
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "harness/ring_ops.h"
 #include "ring/event.h"
 #include "ring/event_pump.h"
 #include "ring/lamport.h"
@@ -70,31 +72,31 @@ TEST(EventTest, FlagHelpers)
     EXPECT_FALSE(e.argsSpilled());
 }
 
-TEST_F(RingTest, PublishThenPoll)
+TEST_F(RingTest, PublishThenTake)
 {
     init(8);
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
-    ASSERT_TRUE(ring_.publish(makeEvent(1, 42, 7)));
+    ASSERT_TRUE(publishOne(ring_, makeEvent(1, 42, 7)));
     Event out = {};
-    ASSERT_TRUE(ring_.poll(id, &out));
+    ASSERT_TRUE(takeOne(ring_, id, &out));
     EXPECT_EQ(out.timestamp, 1u);
     EXPECT_EQ(out.nr, 42u);
     EXPECT_EQ(out.result, 7);
-    EXPECT_FALSE(ring_.poll(id, &out)); // drained
+    EXPECT_EQ(ring_.lag(id), 0u); // drained
 }
 
 TEST_F(RingTest, LateAttachSkipsHistory)
 {
     init(8);
-    ASSERT_TRUE(ring_.publish(makeEvent(1, 1, 0)));
-    ASSERT_TRUE(ring_.publish(makeEvent(2, 2, 0)));
+    ASSERT_TRUE(publishOne(ring_, makeEvent(1, 1, 0)));
+    ASSERT_TRUE(publishOne(ring_, makeEvent(2, 2, 0)));
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
     Event out = {};
-    EXPECT_FALSE(ring_.poll(id, &out));
-    ASSERT_TRUE(ring_.publish(makeEvent(3, 3, 0)));
-    ASSERT_TRUE(ring_.poll(id, &out));
+    EXPECT_EQ(ring_.lag(id), 0u);
+    ASSERT_TRUE(publishOne(ring_, makeEvent(3, 3, 0)));
+    ASSERT_TRUE(takeOne(ring_, id, &out));
     EXPECT_EQ(out.nr, 3u);
 }
 
@@ -104,8 +106,8 @@ TEST_F(RingTest, WrapAroundPreservesOrder)
     int id = ring_.attachConsumer();
     Event out = {};
     for (std::uint64_t i = 1; i <= 100; ++i) {
-        ASSERT_TRUE(ring_.publish(makeEvent(i, 0, 0)));
-        ASSERT_TRUE(ring_.poll(id, &out));
+        ASSERT_TRUE(publishOne(ring_, makeEvent(i, 0, 0)));
+        ASSERT_TRUE(takeOne(ring_, id, &out));
         EXPECT_EQ(out.timestamp, i);
     }
 }
@@ -116,15 +118,15 @@ TEST_F(RingTest, ProducerBlocksWhenFullAndTimesOut)
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(ring_.publish(makeEvent(i + 1, 0, 0)));
-    // Ring is full; the next publish must observe the deadline.
+        ASSERT_TRUE(publishOne(ring_, makeEvent(i + 1, 0, 0)));
+    // Ring is full; the next claim must observe the deadline.
     WaitSpec w = WaitSpec::withTimeout(30000000); // 30 ms
     w.spin_iterations = 16;
-    EXPECT_FALSE(ring_.publish(makeEvent(5, 0, 0), w));
+    EXPECT_FALSE(publishOne(ring_, makeEvent(5, 0, 0), w));
     // Consuming one event frees a slot.
     Event out = {};
-    ASSERT_TRUE(ring_.poll(id, &out));
-    EXPECT_TRUE(ring_.publish(makeEvent(5, 0, 0), w));
+    ASSERT_TRUE(takeOne(ring_, id, &out));
+    EXPECT_TRUE(publishOne(ring_, makeEvent(5, 0, 0), w));
 }
 
 TEST_F(RingTest, DetachUnblocksProducer)
@@ -133,15 +135,15 @@ TEST_F(RingTest, DetachUnblocksProducer)
     int id = ring_.attachConsumer();
     ASSERT_GE(id, 0);
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(ring_.publish(makeEvent(i + 1, 0, 0)));
+        ASSERT_TRUE(publishOne(ring_, makeEvent(i + 1, 0, 0)));
 
     std::thread detacher([&] {
         sleepNs(20000000); // 20 ms
         ring_.detachConsumer(id);
     });
-    // With no active consumer the gate opens and this publish succeeds.
+    // With no active consumer the gate opens and this claim succeeds.
     WaitSpec w = WaitSpec::withTimeout(2000000000ULL); // 2 s guard
-    EXPECT_TRUE(ring_.publish(makeEvent(5, 0, 0), w));
+    EXPECT_TRUE(publishOne(ring_, makeEvent(5, 0, 0), w));
     detacher.join();
 }
 
@@ -153,11 +155,11 @@ TEST_F(RingTest, DetachMidBatchUnblocksBatchProducer)
     ASSERT_GE(keeper, 0);
     ASSERT_GE(quitter, 0);
 
-    // Fill the ring so a large batch publish must block on the gate.
+    // Fill the ring so a whole-ring claim must block on the gate.
     Event seed[4];
     for (int i = 0; i < 4; ++i)
         seed[i] = makeEvent(i + 1, 0, 0);
-    ASSERT_EQ(ring_.publishBatch({seed, 4}), 4u);
+    ASSERT_TRUE(publishRun(ring_, seed));
 
     // The quitter drains part of its backlog, then detaches mid-batch —
     // the failover invariant (section 5.1): a departing consumer must
@@ -165,21 +167,22 @@ TEST_F(RingTest, DetachMidBatchUnblocksBatchProducer)
     std::thread failover([&] {
         sleepNs(20000000); // 20 ms: let the producer block first
         Event out[2];
-        ASSERT_EQ(ring_.consumeBatch(quitter, out, 2), 2u);
+        ASSERT_EQ(takeRun(ring_, quitter, out, 2), 2u);
         ring_.detachConsumer(quitter);
-        // The keeper drains everything so the batch can finish.
+        // The keeper drains everything so both runs can land.
         Event drain[8];
         WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
         std::size_t got = 0;
         while (got < 12)
-            got += ring_.consumeBatch(keeper, drain, 8, w);
+            got += takeRun(ring_, keeper, drain, 8, w);
     });
 
     WaitSpec w = WaitSpec::withTimeout(5000000000ULL); // 5 s guard
-    std::vector<Event> batch;
+    Event batch[8];
     for (int i = 0; i < 8; ++i)
-        batch.push_back(makeEvent(5 + i, 0, 0));
-    EXPECT_EQ(ring_.publishBatch(batch, w), 8u);
+        batch[i] = makeEvent(5 + i, 0, 0);
+    EXPECT_TRUE(publishRun(ring_, {batch, 4}, w));
+    EXPECT_TRUE(publishRun(ring_, {batch + 4, 4}, w));
     failover.join();
 }
 
@@ -194,7 +197,7 @@ TEST_F(RingTest, CrashedConsumerProcessDoesNotGateBatchProducer)
     Event seed[4];
     for (int i = 0; i < 4; ++i)
         seed[i] = makeEvent(i + 1, 0, 0);
-    ASSERT_EQ(ring_.publishBatch({seed, 4}), 4u);
+    ASSERT_TRUE(publishRun(ring_, seed));
 
     // The "crashing follower" consumes part of its batch and dies
     // without detaching, exactly like a variant crashing mid-replay.
@@ -202,7 +205,7 @@ TEST_F(RingTest, CrashedConsumerProcessDoesNotGateBatchProducer)
     ASSERT_GE(pid, 0);
     if (pid == 0) {
         Event out[2];
-        if (ring_.consumeBatch(crasher, out, 2) != 2)
+        if (takeRun(ring_, crasher, out, 2) != 2)
             _exit(1);
         _exit(0); // no detach: the mapping just vanishes
     }
@@ -211,24 +214,25 @@ TEST_F(RingTest, CrashedConsumerProcessDoesNotGateBatchProducer)
     ASSERT_EQ(WEXITSTATUS(status), 0);
 
     // The live consumer fully drains; only the dead follower's stale
-    // cursor (stuck at 2) still gates the ring, so a batch of 4 makes
-    // partial progress and then times out.
+    // cursor (stuck at 2) still gates the ring: a run of 2 fits, a
+    // further one times out.
     Event out[4];
-    ASSERT_EQ(ring_.consumeBatch(keeper, out, 4), 4u);
+    ASSERT_EQ(takeRun(ring_, keeper, out, 4), 4u);
     WaitSpec short_wait = WaitSpec::withTimeout(30000000); // 30 ms
     short_wait.spin_iterations = 16;
     Event more[4];
     for (int i = 0; i < 4; ++i)
         more[i] = makeEvent(5 + i, 0, 0);
-    EXPECT_EQ(ring_.publishBatch({more, 4}, short_wait), 2u);
+    EXPECT_TRUE(publishRun(ring_, {more, 2}, short_wait));
+    EXPECT_FALSE(publishRun(ring_, {more + 2, 2}, short_wait));
 
     // The coordinator reaps the crash and deactivates the slot
     // (transparent failover, section 5.1): the rest of the batch now
     // completes gated on the live consumer alone.
     ring_.detachConsumer(crasher);
     WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
-    EXPECT_EQ(ring_.publishBatch({more + 2, 2}, w), 2u);
-    ASSERT_EQ(ring_.consumeBatch(keeper, out, 4), 4u);
+    EXPECT_TRUE(publishRun(ring_, {more + 2, 2}, w));
+    ASSERT_EQ(takeRun(ring_, keeper, out, 4), 4u);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(out[i].timestamp, static_cast<std::uint64_t>(5 + i));
 }
@@ -252,7 +256,7 @@ TEST_F(RingTest, EachConsumerSeesEveryEvent)
             WaitSpec w = WaitSpec::withTimeout(10000000000ULL);
             w.spin_iterations = 64;
             for (std::uint64_t n = 1; n <= kEvents; ++n) {
-                ASSERT_TRUE(ring_.consume(ids[i], &out, w));
+                ASSERT_TRUE(takeOne(ring_, ids[i], &out, w));
                 ASSERT_EQ(out.timestamp, n); // strict FIFO per consumer
                 sums[i] += out.result;
             }
@@ -262,7 +266,7 @@ TEST_F(RingTest, EachConsumerSeesEveryEvent)
     std::uint64_t expect_sum = 0;
     WaitSpec pw = WaitSpec::withTimeout(10000000000ULL);
     for (std::uint64_t n = 1; n <= kEvents; ++n) {
-        ASSERT_TRUE(ring_.publish(makeEvent(n, 0, n % 97), pw));
+        ASSERT_TRUE(publishOne(ring_, makeEvent(n, 0, n % 97), pw));
         expect_sum += n % 97;
     }
     for (auto &t : consumers)
@@ -311,7 +315,7 @@ TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
     std::thread steady_thread([&] {
         Event out = {};
         for (std::uint64_t n = 1; n <= kEvents; ++n) {
-            if (!ring_.consume(steady, &out, wait) || !isStamped(out, n)) {
+            if (!takeOne(ring_, steady, &out, wait) || !isStamped(out, n)) {
                 failures.fetch_add(1);
                 return;
             }
@@ -322,7 +326,7 @@ TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
     std::thread rejoin_thread([&] {
         Event out = {};
         for (std::uint64_t n = 1; n <= kEvents / 2; ++n) {
-            if (!ring_.consume(rejoin, &out, wait) || !isStamped(out, n)) {
+            if (!takeOne(ring_, rejoin, &out, wait) || !isStamped(out, n)) {
                 failures.fetch_add(1);
                 return;
             }
@@ -332,7 +336,7 @@ TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
         ring_.detachConsumer(rejoin);
         const bool attached = ring_.attachConsumerAt(rejoin);
         reattached.store(true, std::memory_order_release);
-        if (!attached || !ring_.consume(rejoin, &out, wait)) {
+        if (!attached || !takeOne(ring_, rejoin, &out, wait)) {
             failures.fetch_add(1);
             return;
         }
@@ -344,7 +348,7 @@ TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
             }
             if (n == kEvents)
                 break;
-            if (!ring_.consume(rejoin, &out, wait)) {
+            if (!takeOne(ring_, rejoin, &out, wait)) {
                 failures.fetch_add(1);
                 return;
             }
@@ -358,7 +362,7 @@ TEST_F(RingTest, FutexOnlyStressKeepsOrderAcrossReattach)
                    failures.load() == 0)
                 std::this_thread::yield();
         }
-        if (!ring_.publish(stampedEvent(n), wait)) {
+        if (!publishOne(ring_, stampedEvent(n), wait)) {
             ADD_FAILURE() << "publish " << n << " timed out";
             break;
         }
@@ -378,11 +382,11 @@ TEST_F(RingTest, LagTracksDistance)
     int id = ring_.attachConsumer();
     EXPECT_EQ(ring_.lag(id), 0u);
     for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(ring_.publish(makeEvent(i + 1, 0, 0)));
+        ASSERT_TRUE(publishOne(ring_, makeEvent(i + 1, 0, 0)));
     EXPECT_EQ(ring_.lag(id), 6u);
     Event out = {};
-    ring_.poll(id, &out);
-    ring_.poll(id, &out);
+    ASSERT_TRUE(takeOne(ring_, id, &out));
+    ASSERT_TRUE(takeOne(ring_, id, &out));
     EXPECT_EQ(ring_.lag(id), 4u);
 }
 
@@ -412,14 +416,14 @@ TEST_F(RingTest, FutexPathDeliversUnderSlowProduction)
     std::thread producer([&] {
         for (int i = 0; i < 5; ++i) {
             sleepNs(5000000); // 5 ms gaps force the consumer to sleep
-            ring_.publish(makeEvent(i + 1, 0, 0));
+            publishOne(ring_, makeEvent(i + 1, 0, 0));
         }
     });
     Event out = {};
     WaitSpec w = WaitSpec::withTimeout(5000000000ULL);
     w.spin_iterations = 8; // hit the futex path quickly
     for (int i = 0; i < 5; ++i) {
-        ASSERT_TRUE(ring_.consume(id, &out, w));
+        ASSERT_TRUE(takeOne(ring_, id, &out, w));
         EXPECT_EQ(out.timestamp, static_cast<std::uint64_t>(i + 1));
     }
     producer.join();
@@ -446,7 +450,7 @@ TEST_F(RingTest, AwaitAnyDataWakesOnAnyRing)
 
     std::thread producer([&] {
         sleepNs(5000000); // the consumer is asleep by now
-        rings[2].publish(makeEvent(1, 0, 0));
+        publishOne(rings[2], makeEvent(1, 0, 0));
     });
     t0 = monotonicNs();
     EXPECT_TRUE(RingBuffer::awaitAnyData(rings, slots, 5000000000ULL));
@@ -459,15 +463,15 @@ TEST_F(RingTest, AwaitAnyDataWakesOnAnyRing)
     EXPECT_TRUE(RingBuffer::awaitAnyData(rings, slots, 0));
 }
 
-TEST_F(RingTest, ConsumeTimesOutOnSilence)
+TEST_F(RingTest, PeekTimesOutOnSilence)
 {
     init(8);
     int id = ring_.attachConsumer();
-    Event out = {};
+    Event out[8];
     WaitSpec w = WaitSpec::withTimeout(20000000); // 20 ms
     w.spin_iterations = 8;
     std::uint64_t t0 = monotonicNs();
-    EXPECT_FALSE(ring_.consume(id, &out, w));
+    EXPECT_EQ(ring_.peekBatch(id, out, 8, w), 0u);
     EXPECT_GE(monotonicNs() - t0, 15000000ULL);
 }
 
@@ -485,7 +489,7 @@ TEST_F(RingTest, CrossProcessStreamIsLossless)
         Event out = {};
         WaitSpec w = WaitSpec::withTimeout(20000000000ULL);
         for (std::uint64_t n = 1; n <= kEvents; ++n) {
-            if (!ring_.consume(id, &out, w))
+            if (!takeOne(ring_, id, &out, w))
                 _exit(2);
             if (out.timestamp != n || out.result != int64_t(n * 3))
                 _exit(3);
@@ -494,7 +498,7 @@ TEST_F(RingTest, CrossProcessStreamIsLossless)
     }
     WaitSpec pw = WaitSpec::withTimeout(20000000000ULL);
     for (std::uint64_t n = 1; n <= kEvents; ++n)
-        ASSERT_TRUE(ring_.publish(makeEvent(n, 7, int64_t(n * 3)), pw));
+        ASSERT_TRUE(publishOne(ring_, makeEvent(n, 7, int64_t(n * 3)), pw));
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_EQ(WEXITSTATUS(status), 0);
@@ -532,7 +536,7 @@ TEST_P(RingSweepTest, StreamIntegrityUnderLoad)
             WaitSpec w = WaitSpec::withTimeout(20000000000ULL);
             w.spin_iterations = 128;
             for (std::uint64_t n = 1; n <= kEvents; ++n) {
-                if (!ring.consume(ids[i], &out, w) || out.timestamp != n) {
+                if (!takeOne(ring, ids[i], &out, w) || out.timestamp != n) {
                     failures.fetch_add(1);
                     return;
                 }
@@ -541,7 +545,7 @@ TEST_P(RingSweepTest, StreamIntegrityUnderLoad)
     }
     WaitSpec pw = WaitSpec::withTimeout(20000000000ULL);
     for (std::uint64_t n = 1; n <= kEvents; ++n)
-        ASSERT_TRUE(ring.publish(makeEvent(n, 0, 0), pw));
+        ASSERT_TRUE(publishOne(ring, makeEvent(n, 0, 0), pw));
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(failures.load(), 0);

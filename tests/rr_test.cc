@@ -768,5 +768,109 @@ TEST(LogTest, ReadsV1Logs)
     ::unlink(path.c_str());
 }
 
+// --- malformed records: decodable errors, never out-of-range access ---
+
+/** Write @p bytes after a log header of @p version to a fresh path. */
+std::string
+writeLog(std::uint32_t version, const std::vector<std::uint8_t> &bytes)
+{
+    std::string path = tempLogPath();
+    LogHeader header = {};
+    std::memcpy(header.magic, kLogMagic, sizeof(header.magic));
+    header.version = version;
+    FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(&header, 1, sizeof(header), f), sizeof(header));
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return path;
+}
+
+/** An external-leader layout to replay into; no variants run. */
+struct ReplayTarget {
+    shmem::Region region;
+    core::EngineLayout layout;
+
+    ReplayTarget()
+    {
+        auto r = shmem::Region::create(8 << 20);
+        VARAN_CHECK(r.ok());
+        region = std::move(r.value());
+        layout = core::EngineLayout::create(&region, 1, core::kNoLeader, 64);
+    }
+};
+
+TEST(LogTest, RecordNamingNoTupleEndsTheValidPrefix)
+{
+    // The record checksum holds, so only the tuple bound can catch it:
+    // the replayer would index the layout's tuple table with it.
+    std::vector<std::uint8_t> bytes;
+    appendRecord(bytes, 0, getpidEvent(1), nullptr, 0);
+    appendRecord(bytes, core::kMaxTuples, getpidEvent(2), nullptr, 0);
+    appendRecord(bytes, 0, getpidEvent(3), nullptr, 0);
+    const std::string path = writeLog(kLogVersion, bytes);
+
+    auto log = readLog(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_TRUE(log.value().truncated);
+    ASSERT_EQ(log.value().records.size(), 1u);
+    EXPECT_EQ(log.value().records[0].event.timestamp, 1u);
+
+    // Replaying stops at the same record, without touching a ring.
+    ReplayTarget target;
+    Replayer replayer(&target.region, &target.layout, path);
+    auto stats = replayer.replayAll();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(stats.value().truncated);
+    EXPECT_EQ(stats.value().events, 1u);
+    ::unlink(path.c_str());
+}
+
+TEST(LogTest, V1RecordNamingNoTupleEndsTheValidPrefix)
+{
+    // A v1 log has no record checksum at all.
+    RecordHeaderV1 good = {};
+    good.event = getpidEvent(1);
+    RecordHeaderV1 bad = {};
+    bad.tuple = 0xdeadbeef;
+    bad.event = getpidEvent(2);
+    std::vector<std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t *>(&good),
+        reinterpret_cast<const std::uint8_t *>(&good + 1));
+    bytes.insert(bytes.end(), reinterpret_cast<const std::uint8_t *>(&bad),
+                 reinterpret_cast<const std::uint8_t *>(&bad + 1));
+    const std::string path = writeLog(1, bytes);
+
+    auto log = readLog(path);
+    ASSERT_TRUE(log.ok());
+    EXPECT_TRUE(log.value().truncated);
+    ASSERT_EQ(log.value().records.size(), 1u);
+    ::unlink(path.c_str());
+}
+
+TEST(ReplayTest, ForkNamingNoTupleIsAProtocolError)
+{
+    // A well-formed record whose Fork opens a tuple that cannot exist:
+    // replay fails with EPROTO instead of aborting the process.
+    ring::Event fork = {};
+    fork.type = ring::EventType::Fork;
+    fork.timestamp = 2;
+    fork.args[0] = core::kMaxTuples;
+    std::vector<std::uint8_t> bytes;
+    appendRecord(bytes, 0, getpidEvent(1), nullptr, 0);
+    appendRecord(bytes, 0, fork, nullptr, 0);
+    const std::string path = writeLog(kLogVersion, bytes);
+
+    ReplayTarget target;
+    Replayer replayer(&target.region, &target.layout, path);
+    auto stats = replayer.replayAll();
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.error().code, EPROTO);
+    EXPECT_EQ(replayer.stats().events, 1u);
+    EXPECT_EQ(target.layout.controlBlock(&target.region)->num_tuples.load(),
+              1u);
+    ::unlink(path.c_str());
+}
+
 } // namespace
 } // namespace varan::rr

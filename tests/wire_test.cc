@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "core/nvx.h"
+#include "core/tuple_writer.h"
 #include "harness/faultlink.h"
 #include "netio/socketio.h"
 #include "syscalls/sys.h"
@@ -52,20 +53,16 @@ struct FakeLeader {
         layout = core::EngineLayout::create(&region, 1, 0, kCap);
     }
 
-    /** Publish one event the way Monitor::publishEvent does. */
+    /** Publish one event through the leader's writer, re-hosting
+     *  @p payload_data in the tuple's pool arena first. */
     void
     publish(std::uint32_t tuple, ring::Event event,
             const void *payload_data = nullptr,
             std::uint32_t payload_size = 0)
     {
-        core::ControlBlock *cb = layout.controlBlock(&region);
-        shmem::ShardedPool pool = layout.pool(&region);
-        ring::RingBuffer ring = layout.tupleRing(&region, tuple);
-        std::uint64_t *shadow = layout.tupleShadow(&region, tuple);
-
-        shmem::Offset payload = 0;
         if (payload_data != nullptr) {
-            payload = pool.allocate(tuple, payload_size, 1);
+            shmem::ShardedPool pool = layout.pool(&region);
+            shmem::Offset payload = pool.allocate(tuple, payload_size, 1);
             VARAN_CHECK(payload != 0);
             std::memcpy(pool.pointer(payload, payload_size), payload_data,
                         payload_size);
@@ -73,13 +70,8 @@ struct FakeLeader {
             event.payload = static_cast<std::uint32_t>(payload);
             event.payload_size = payload_size;
         }
-        std::uint64_t seq = 0;
-        VARAN_CHECK(ring.claim(1, &seq, {}));
-        std::uint64_t idx = seq & (cb->ring_capacity - 1);
-        if (shadow[idx] != 0)
-            pool.release(shadow[idx]);
-        shadow[idx] = payload;
-        ring.commit({&event, 1});
+        core::TupleWriter writer(&region, layout, tuple);
+        VARAN_CHECK(writer.publish({&event, 1}, {}) == 1);
     }
 };
 
@@ -103,10 +95,13 @@ struct FakeRemote {
     {
         ring::RingBuffer ring = layout.tupleRing(&region, tuple);
         std::vector<ring::Event> out;
-        ring::Event event;
+        ring::Event run[kCap];
         // Slot 0 was pre-attached by the external-leader layout.
-        while (ring.poll(0, &event))
-            out.push_back(event);
+        while (ring.lag(0) > 0) {
+            const std::size_t n = ring.peekBatch(0, run, kCap);
+            out.insert(out.end(), run, run + n);
+            ring.advanceBy(0, n);
+        }
         return out;
     }
 };
