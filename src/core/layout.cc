@@ -2,6 +2,8 @@
 
 #include <new>
 
+#include "common/clock.h"
+
 namespace varan::core {
 
 EngineLayout
@@ -121,6 +123,51 @@ EngineLayout::attach(const shmem::Region *region)
         return Errno{EINVAL};
     layout.pool_header = cb->pool_header_off;
     return layout;
+}
+
+std::uint32_t
+lowestCandidate(const ControlBlock &cb, std::uint32_t live)
+{
+    for (std::uint32_t v = 0; v < cb.num_variants; ++v) {
+        if ((live & (1u << v)) &&
+            cb.variants[v].role.load(std::memory_order_acquire) ==
+                static_cast<std::uint32_t>(VariantRole::LeaderCandidate)) {
+            return v;
+        }
+    }
+    return kNoLeader;
+}
+
+Election
+elect(ControlBlock *cb, std::uint32_t live, ElectionScope scope,
+      std::uint64_t cause)
+{
+    Election won;
+    won.leader = lowestCandidate(*cb, live);
+    if (won.leader == kNoLeader)
+        return won;
+    const bool tracing = trace::enabled(cb->trace);
+    if (tracing) {
+        // Arm the failover-blackout clock; the promoted leader's first
+        // publish consumes the mark. A receiver's leader node died at
+        // least promote_after_ns earlier, but this is when it knows.
+        std::uint64_t unarmed = 0;
+        cb->trace.leader_death_ns.compare_exchange_strong(
+            unarmed, monotonicNs(), std::memory_order_acq_rel);
+    }
+    won.epoch = cb->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
+    std::atomic<std::uint32_t> &gen = cb->stream_generation;
+    won.generation = scope == ElectionScope::CrossNode
+                         ? gen.fetch_add(1, std::memory_order_acq_rel) + 1
+                         : gen.load(std::memory_order_acquire);
+    cb->promotions.fetch_add(1, std::memory_order_acq_rel);
+    cb->leader_id.store(won.leader, std::memory_order_release);
+    if (tracing) {
+        trace::stamp(cb->trace, trace::Stage::Election,
+                     static_cast<std::uint8_t>(won.leader), 0, won.epoch,
+                     monotonicNs(), won.generation, cause);
+    }
+    return won;
 }
 
 } // namespace varan::core

@@ -157,6 +157,32 @@ struct ControlBlock {
     ring::ClockState clocks[kMaxVariants]; ///< per-variant Lamport clocks
 };
 
+/** The lowest LeaderCandidate in @p live, or kNoLeader: FollowerOnly
+ *  variants are never elected, on this node or across nodes. */
+std::uint32_t lowestCandidate(const ControlBlock &cb, std::uint32_t live);
+
+/** CrossNode: this engine takes the stream over from another node. */
+enum class ElectionScope { Local, CrossNode };
+
+/** elect()'s outcome; leader == kNoLeader when nobody was elected. */
+struct Election {
+    std::uint32_t leader = kNoLeader;
+    std::uint32_t epoch = 0;
+    std::uint32_t generation = 0;
+};
+
+/**
+ * Transparent failover's election (section 5.1), run by the coordinator
+ * and the wire receiver alike: lowestCandidate() takes over. Arms the
+ * failover-blackout clock, then bumps epoch and promotions (and, for
+ * CrossNode, stream_generation) before the release store of leader_id,
+ * so a reader of the new leader_id reads epoch >= 1. Stamps
+ * Stage::Election with the generation and @p cause (the dead leader, or
+ * the lease term). With no candidate nothing changes.
+ */
+Election elect(ControlBlock *cb, std::uint32_t live, ElectionScope scope,
+               std::uint64_t cause);
+
 /** Offsets of the carved structures inside the Region. */
 struct EngineLayout {
     shmem::Offset control = 0;

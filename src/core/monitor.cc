@@ -122,8 +122,14 @@ Monitor::Monitor(const shmem::Region *region, EngineLayout layout,
     : region_(region), layout_(layout),
       cb_(layout.controlBlock(region)), channels_(channels),
       config_(config),
+      // Leader only as epoch 0's initial leader: a variant built after
+      // an election follows even when leader_id names it, and leads
+      // through maybePromote(). elect() bumps epoch before it stores
+      // leader_id, so loading leader_id first never pairs a new leader
+      // with epoch 0.
       role_(cb_->leader_id.load(std::memory_order_acquire) ==
-                    config.variant_id
+                        config.variant_id &&
+                    cb_->epoch.load(std::memory_order_acquire) == 0
                 ? Role::Leader
                 : Role::Follower),
       pool_(layout.pool(region)),
@@ -217,14 +223,8 @@ int
 Monitor::openTuple(TupleKind kind)
 {
     const int tuple = currentTuple();
-    const int slot = static_cast<int>(config_.variant_id);
-    const bool backlog = rings_[tuple].consumerActive(slot) &&
-                         rings_[tuple].lag(slot) > 0;
-    if (isLeader() && !backlog) {
-        if (rings_[tuple].consumerActive(slot))
-            rings_[tuple].detachConsumer(slot);
+    if (leads(tuple))
         return announceTuple(tuple, kind);
-    }
     // Follower: the tuple id arrives as a Fork event in the stream. The
     // Fork pseudo-call's args[0] tells dispatchFollower() whether the
     // new tuple is a thread of this process.
@@ -276,25 +276,30 @@ Monitor::dispatch(long nr, const std::uint64_t args[6])
     }
 
     const int tuple = currentTuple();
-    // A promoted leader keeps replaying a tuple until its backlog of
-    // buffered events is drained; only then does it start recording.
-    // Followers skip the check: lag() reads the line the producer
-    // writes on every publish.
-    if (isLeader()) {
-        const int slot = static_cast<int>(config_.variant_id);
-        ring::RingBuffer &ring = rings_[tuple];
-        const bool attached = ring.consumerActive(slot);
-        if (!attached || ring.lag(slot) == 0) {
-            // Before producing, release this variant's own cursor (it
-            // was pre-attached when someone else led) — otherwise the
-            // new leader would gate on, and eventually consume, its
-            // own events.
-            if (attached)
-                ring.detachConsumer(slot);
-            return dispatchLeader(tuple, nr, args, info);
-        }
-    }
-    return dispatchFollower(tuple, nr, args, info);
+    return leads(tuple) ? dispatchLeader(tuple, nr, args, info)
+                        : dispatchFollower(tuple, nr, args, info);
+}
+
+inline bool
+Monitor::leads(int tuple)
+{
+    // Followers stop at the role load: lag() reads the line the
+    // producer writes on every publish.
+    if (!isLeader())
+        return false;
+    const int slot = static_cast<int>(config_.variant_id);
+    ring::RingBuffer &ring = rings_[tuple];
+    if (!ring.consumerActive(slot))
+        return true;
+    // A promoted leader replays the tuple's backlog before recording.
+    if (ring.lag(slot) != 0)
+        return false;
+    // Release the cursor pre-attached while someone else led, or the
+    // leader would gate on (and consume) its own events; the read-ahead
+    // peeked through it goes too.
+    ring.detachConsumer(slot);
+    peeked_[tuple].pos = peeked_[tuple].count = 0;
+    return true;
 }
 
 shmem::Offset
@@ -544,7 +549,7 @@ Monitor::recvFdFor(std::uint32_t publisher, std::uint32_t tuple)
     // so a waiting thread always finds its descriptor either parked by
     // the previous drainer or next on the channel — concurrent recvs
     // could strand a thread in recvmsg while its message sits parked.
-    // Fork safety comes from resetFdRoutingAfterFork(), which discards
+    // Fork safety comes from resetProcessStateAfterFork(), which discards
     // any inherited (possibly locked) inbox in the child.
     std::lock_guard<std::mutex> guard(inbox.mutex);
     std::deque<Fd> &mine = inbox.pending[tuple];
@@ -735,17 +740,20 @@ Monitor::fatalDivergence(DivergenceCheck check, std::uint64_t mine,
 bool
 Monitor::maybePromote()
 {
-    std::lock_guard<std::mutex> guard(promote_mutex_);
-    if (isLeader())
-        return true;
     if (cb_->leader_id.load(std::memory_order_acquire) !=
         config_.variant_id) {
-        return false;
+        return isLeader();
     }
     // Switch the system call table (section 5.1): from here on this
     // variant records instead of replaying. Per-tuple backlogs drain
-    // before each thread starts producing (see dispatch()).
-    role_.store(Role::Leader, std::memory_order_release);
+    // before each thread starts producing (see leads()). The one write
+    // of role_ after construction; of several threads noticing the
+    // election at once, only the first announces it.
+    Role follower = Role::Follower;
+    if (!role_.compare_exchange_strong(follower, Role::Leader,
+                                       std::memory_order_acq_rel)) {
+        return true;
+    }
     if (trace::enabled(cb_->trace)) {
         trace::stamp(cb_->trace, trace::Stage::Promotion,
                      static_cast<std::uint8_t>(config_.variant_id), 0,
@@ -782,11 +790,7 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
     };
 
     for (;;) {
-        // Promoted (and this tuple's backlog is drained)?
-        if (isLeader() && ring.lag(slot) == 0) {
-            cache.pos = cache.count = 0;
-            if (ring.consumerActive(slot))
-                ring.detachConsumer(slot);
+        if (leads(tuple)) {
             if (expect_fork) {
                 // Re-run as leader: allocate and announce the tuple.
                 return announceTuple(tuple, args[0] != 0
@@ -805,11 +809,8 @@ Monitor::dispatchFollower(int tuple, long nr, const std::uint64_t args[6],
             cache.count = static_cast<std::uint32_t>(
                 ring.peekBatch(slot, cache.events, kPeekRun, tick_wait_));
             if (cache.count == 0) {
-                if (cb_->leader_id.load(std::memory_order_acquire) ==
-                    config_.variant_id) {
-                    maybePromote();
+                if (maybePromote())
                     continue;
-                }
                 if (stalled()) {
                     panic("follower %u made no progress for %llu ms "
                           "(tuple %d, waiting for syscall %ld)",
@@ -976,13 +977,8 @@ Monitor::handleExit(int tuple, long nr, const std::uint64_t args[6])
                 ring.peekBatch(slot, batch, kExitDrainBatch, tick_wait_);
             ring.advanceBy(slot, n);
             if (n == 0) {
-                if (cb_->leader_id.load(std::memory_order_acquire) ==
-                    config_.variant_id) {
-                    maybePromote();
-                    continue;
-                }
-                if (monotonicNs() > deadline)
-                    break; // give up waiting; exit anyway
+                if (maybePromote() || monotonicNs() > deadline)
+                    break; // promoted, or gave up waiting: exit anyway
                 continue;
             }
             for (std::size_t i = 0; i < n && draining; ++i) {

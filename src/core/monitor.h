@@ -77,13 +77,11 @@ class Monitor : public sys::Dispatcher
 
     std::uint32_t variantId() const { return config_.variant_id; }
 
-    Role
-    role() const
+    bool
+    isLeader() const
     {
-        return role_.load(std::memory_order_acquire);
+        return role_.load(std::memory_order_acquire) == Role::Leader;
     }
-
-    bool isLeader() const { return role() == Role::Leader; }
 
     /**
      * Called when the variant's application code returns: the leader
@@ -115,6 +113,11 @@ class Monitor : public sys::Dispatcher
   private:
     Monitor(const shmem::Region *region, EngineLayout layout,
             ChannelSet *channels, Config config);
+
+    /** True when this variant produces @p tuple's stream: it leads and
+     *  any backlog buffered before its promotion is drained. The first
+     *  true detaches its own cursor from the tuple's ring. */
+    bool leads(int tuple);
 
     long dispatchLeader(int tuple, long nr, const std::uint64_t args[6],
                         const sys::SyscallInfo &info);
@@ -168,7 +171,8 @@ class Monitor : public sys::Dispatcher
                                         const std::uint64_t args[6],
                                         long *result_out);
 
-    /** Check for and perform leader promotion; true if promoted. */
+    /** The one transition to leader: when leader_id names this variant,
+     *  flip role_ (compare-exchange, once). True if this variant leads. */
     bool maybePromote();
 
     /** Append a structured record to the shared divergence ledger
@@ -200,7 +204,6 @@ class Monitor : public sys::Dispatcher
     ring::RingBuffer rings_[kMaxTuples];
     TupleWriter writers_[kMaxTuples];
     bpf::RuleSet rules_;
-    std::mutex promote_mutex_;
     ring::WaitSpec tick_wait_;
 
     /** Restarted incarnation: resync the variant clock from the first

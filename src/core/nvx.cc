@@ -370,49 +370,21 @@ Nvx::markVariantDead(std::uint32_t variant, bool crashed)
             ring.detachConsumer(static_cast<int>(variant));
     }
 
-    // Election: the lowest live *LeaderCandidate* takes over.
-    // FollowerOnly variants (sanitizer builds, experimental revisions)
-    // are never promoted; with no candidate left the stream simply
-    // ends and the remaining followers drain what was published.
+    // Election: the lowest live LeaderCandidate takes over, and the
+    // stream continues on this node (epoch moves, generation does not).
+    // With no candidate left the stream ends and the remaining
+    // followers drain what was published. A clean exit elects too: a
+    // follower revision whose code runs past the leader's exit_group
+    // carries on as leader instead of starving into the progress panic.
     if (cb->leader_id.load(std::memory_order_acquire) == variant) {
-        // Arm the failover-blackout measurement: the promoted leader's
-        // first publish consumes this mark and records death→dispatch.
-        if (trace::enabled(cb->trace)) {
-            std::uint64_t expected = 0;
-            cb->trace.leader_death_ns.compare_exchange_strong(
-                expected, monotonicNs(), std::memory_order_acq_rel);
-        }
-        std::uint32_t remaining = live & ~bit;
-        std::uint32_t candidates = 0;
-        for (std::uint32_t v = 0; v < num_variants_; ++v) {
-            if (!(remaining & (1u << v)))
-                continue;
-            if (cb->variants[v].role.load(std::memory_order_acquire) ==
-                static_cast<std::uint32_t>(VariantRole::LeaderCandidate)) {
-                candidates |= 1u << v;
-            }
-        }
-        if (candidates != 0) {
-            std::uint32_t new_leader = 0;
-            while (!(candidates & (1u << new_leader)))
-                ++new_leader;
-            std::uint32_t epoch =
-                cb->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-            // The stream continues on this node: the epoch moves, the
-            // stream generation does not (that bump is reserved for
-            // cross-node promotion, where a *different* engine takes
-            // over publishing).
-            cb->promotions.fetch_add(1, std::memory_order_acq_rel);
-            cb->leader_id.store(new_leader, std::memory_order_release);
-            if (trace::enabled(cb->trace)) {
-                trace::stamp(cb->trace, trace::Stage::Election,
-                             static_cast<std::uint8_t>(new_leader), 0,
-                             epoch, monotonicNs(), variant);
-            }
+        const std::uint32_t remaining = live & ~bit;
+        const Election won =
+            elect(cb, remaining, ElectionScope::Local, variant);
+        if (won.leader != kNoLeader) {
             inform("leader %u %s; elected variant %u", variant,
-                   crashed ? "crashed" : "exited", new_leader);
+                   crashed ? "crashed" : "exited", won.leader);
             if (config_.on_failover)
-                config_.on_failover(epoch, new_leader);
+                config_.on_failover(won.epoch, won.leader);
         } else if (remaining != 0) {
             warn("leader %u %s; no leader candidate among surviving "
                  "variants",
@@ -447,9 +419,10 @@ Nvx::shouldRestart(std::uint32_t variant, bool crashed) const
         return false;
     }
     // If leadership was never transferred away (no LeaderCandidate
-    // survived the election), a respawn would come back *as leader* —
-    // Monitor derives its role from leader_id — and publish from fresh
-    // program state into followers mid-replay. Refuse instead.
+    // survived the election), leader_id still names this variant. The
+    // respawn would then lead — from its constructor while epoch is 0,
+    // else through maybePromote() at its first empty poll — and publish
+    // from fresh program state into followers mid-replay. Refuse.
     if (!config_.external_leader &&
         cb->leader_id.load(std::memory_order_acquire) == variant) {
         return false;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/layout.h"
@@ -84,6 +85,16 @@ LogReader::next(LogRecord *out)
     };
     if (rec.tuple >= core::kMaxTuples)
         return truncate();
+    // Nor may a payload outgrow the file: a corrupt size would ask the
+    // allocator for up to 4 GiB before the short read could notice.
+    if (rec.payload_size > 0) {
+        struct stat st;
+        const long pos = std::ftell(file_);
+        if (pos < 0 || ::fstat(::fileno(file_), &st) != 0 ||
+            rec.payload_size > st.st_size - pos) {
+            return truncate();
+        }
+    }
 
     out->tuple = rec.tuple;
     out->event = rec.event;

@@ -548,9 +548,9 @@ Receiver::serveOnce(int timeout_ms)
 }
 
 bool
-Receiver::promoteLocked(std::uint32_t *epoch_out,
-                        std::uint32_t *leader_out)
+Receiver::promoteNow()
 {
+    std::unique_lock<std::mutex> guard(mutex_);
     if (promoted_.load(std::memory_order_acquire) ||
         stopping_.load(std::memory_order_acquire)) {
         return false;
@@ -562,22 +562,11 @@ Receiver::promoteLocked(std::uint32_t *epoch_out,
         return false;
     }
 
-    // The same election markVariantDead runs locally: the lowest live
-    // LeaderCandidate takes over. FollowerOnly variants (sanitizer
-    // builds) are never promoted, across nodes either.
+    // The election markVariantDead runs locally (core::elect()); check
+    // for a candidate first so a node with none never takes a lease.
     const std::uint32_t live =
         cb->live_mask.load(std::memory_order_acquire);
-    std::uint32_t new_leader = core::kNoLeader;
-    for (std::uint32_t v = 0; v < cb->num_variants; ++v) {
-        if (!(live & (1u << v)))
-            continue;
-        if (cb->variants[v].role.load(std::memory_order_acquire) ==
-            static_cast<std::uint32_t>(core::VariantRole::LeaderCandidate)) {
-            new_leader = v;
-            break;
-        }
-    }
-    if (new_leader == core::kNoLeader) {
+    if (core::lowestCandidate(*cb, live) == core::kNoLeader) {
         warn("wire receiver: leader node lost but no local leader "
              "candidate survives — cannot promote");
         return false;
@@ -609,17 +598,6 @@ Receiver::promoteLocked(std::uint32_t *epoch_out,
 
     dropLink();
 
-    // Arm the failover-blackout clock: the span from here to the
-    // promoted leader's first publish is the cross-node blackout (the
-    // actual leader death happened at least promote_after_ns earlier,
-    // but this is the first moment this node *knows*). The first
-    // post-promotion publishEvent consumes the mark.
-    if (trace::enabled(cb->trace)) {
-        std::uint64_t expected = 0;
-        cb->trace.leader_death_ns.compare_exchange_strong(
-            expected, monotonicNs(), std::memory_order_acq_rel);
-    }
-
     // Standby shipping: attach the taps *before* the election so the
     // promoted stream is complete from its first event (nothing can
     // publish until leader_id flips).
@@ -635,24 +613,15 @@ Receiver::promoteLocked(std::uint32_t *epoch_out,
         }
     }
 
-    const std::uint32_t epoch =
-        cb->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-    const std::uint32_t generation =
-        cb->stream_generation.fetch_add(1, std::memory_order_acq_rel) + 1;
-    cb->promotions.fetch_add(1, std::memory_order_acq_rel);
-    cb->leader_id.store(new_leader, std::memory_order_release);
+    const core::Election won =
+        core::elect(cb, live, core::ElectionScope::CrossNode, lease_term);
     // A resurrected pre-failover shipper must fail the next adopt().
-    last_epoch_ = epoch;
-    last_generation_ = generation;
+    last_epoch_ = won.epoch;
+    last_generation_ = won.generation;
     promoted_.store(true, std::memory_order_release);
-    if (trace::enabled(cb->trace)) {
-        trace::stamp(cb->trace, trace::Stage::Election,
-                     static_cast<std::uint8_t>(new_leader), 0, epoch,
-                     monotonicNs(), generation, lease_term);
-    }
     inform("wire receiver: leader node lost — promoted local variant %u "
            "(epoch %u, stream generation %u, lease term %llu)",
-           new_leader, epoch, generation,
+           won.leader, won.epoch, won.generation,
            static_cast<unsigned long long>(lease_term));
 
     // Ship the promoted stream to the surviving nodes. A standby that
@@ -677,26 +646,12 @@ Receiver::promoteLocked(std::uint32_t *epoch_out,
         promoted_shipper_->start();
     }
 
-    *epoch_out = epoch;
-    *leader_out = new_leader;
-    return true;
-}
-
-bool
-Receiver::promoteNow()
-{
-    std::uint32_t epoch = 0;
-    std::uint32_t leader = 0;
-    bool took_over = false;
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        took_over = promoteLocked(&epoch, &leader);
-    }
     // The hook runs unlocked so it may call back into the receiver
     // (stats(), localStatus()) without deadlocking.
-    if (took_over && options_.on_promote)
-        options_.on_promote(epoch, leader);
-    return took_over;
+    guard.unlock();
+    if (options_.on_promote)
+        options_.on_promote(won.epoch, won.leader);
+    return true;
 }
 
 void
@@ -734,15 +689,12 @@ Receiver::serveLoop()
     bool probe_sent = false;
     const std::uint64_t promote_after = options_.promote_after_ns;
 
-    while (!stopping_.load(std::memory_order_acquire)) {
-        if (promoted_.load(std::memory_order_acquire)) {
-            // This node leads now; the promoted shipper's own pump
-            // serves the stream. Stay parked until finish().
-            sleepNs(1000000);
-            continue;
-        }
+    // Once promoted this node leads: the promoted shipper's own pump
+    // serves the stream, so the thread ends and finish() joins it.
+    while (!stopping_.load(std::memory_order_acquire) &&
+           !promoted_.load(std::memory_order_acquire)) {
         if (link_up_.load(std::memory_order_acquire)) {
-            int frames = serveOnce(kServePollMs);
+            const int frames = serveOnce(kServePollMs);
             // Local followers replaying the remote stream append their
             // divergences to this node's ledger; relay anything new
             // upstream so the leader's coordinator sees it.
@@ -750,43 +702,33 @@ Receiver::serveLoop()
             if (frames > 0) {
                 quiet_since = monotonicNs();
                 probe_sent = false;
-                continue;
             }
-            if (frames < 0)
-                continue; // link dropped; the quiet clock keeps running
-            if (promote_after == 0)
-                continue;
-            const std::uint64_t now = monotonicNs();
-            if (!probe_sent && now - quiet_since > promote_after / 2) {
+            if (frames != 0)
+                continue; // < 0: link dropped; the quiet clock keeps running
+            if (promote_after != 0 && !probe_sent &&
+                monotonicNs() - quiet_since > promote_after / 2) {
                 // Idle or dead? Ask. requestStatus() drops the link
                 // itself when the socket is already gone.
                 requestStatus();
                 probe_sent = true;
             }
-            if (now - quiet_since > promote_after &&
-                !promoteNow()) {
-                // Lost the election or fenced: another receiver is
-                // taking (or holds) the lease. Back off a full
-                // deadline before contending again.
-                quiet_since = monotonicNs();
-                probe_sent = false;
-            }
         } else {
             // Link down: wait for an adopt() from the failover path —
             // or take over when nobody re-connects in time.
-            if (promote_after != 0 &&
-                monotonicNs() - quiet_since > promote_after) {
-                if (!promoteNow()) {
-                    quiet_since = monotonicNs();
-                    probe_sent = false;
-                }
-                continue;
-            }
             sleepNs(1000000);
             if (link_up_.load(std::memory_order_acquire)) {
                 quiet_since = monotonicNs();
                 probe_sent = false;
+                continue;
             }
+        }
+        if (promote_after != 0 &&
+            monotonicNs() - quiet_since > promote_after && !promoteNow()) {
+            // Lost the election or fenced: another receiver is taking
+            // (or holds) the lease. Back off a full deadline before
+            // contending again.
+            quiet_since = monotonicNs();
+            probe_sent = false;
         }
     }
 }

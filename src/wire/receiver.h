@@ -255,11 +255,6 @@ class Receiver
     /** Reject the connecting shipper with a decodable Error frame. */
     void sendHandshakeError(int socket_fd, WireError code,
                             const HelloBody &hello);
-    /** Election + epoch/generation bump + standby shipping. Caller
-     *  holds mutex_. @return true when leadership was taken, with the
-     *  bumped epoch and elected leader in the out-params. */
-    bool promoteLocked(std::uint32_t *epoch_out,
-                       std::uint32_t *leader_out);
     /** Relay local divergence-ledger records the upstream leader has
      *  not seen yet as one Divergence frame (v5). */
     void shipDivergences();

@@ -86,6 +86,94 @@ readExactly(int fd, std::size_t len, int timeout_ms = 20000)
     return out;
 }
 
+// --- the election on a bare control block: no coordinator, no fork ---
+
+/** An engine layout with no process attached; elect() runs on its
+ *  ControlBlock directly. */
+struct BareEngine {
+    shmem::Region region;
+    ControlBlock *cb = nullptr;
+
+    BareEngine(std::uint32_t variants, std::uint32_t leader)
+    {
+        auto r = shmem::Region::create(4 << 20);
+        VARAN_CHECK(r.ok());
+        region = std::move(r.value());
+        cb = EngineLayout::create(&region, variants, leader, 16)
+                 .controlBlock(&region);
+    }
+
+    void
+    followerOnly(std::uint32_t variant)
+    {
+        cb->variants[variant].role.store(
+            static_cast<std::uint32_t>(VariantRole::FollowerOnly));
+    }
+};
+
+TEST(ElectionTest, LowestLiveCandidateWins)
+{
+    BareEngine engine(4, 0);
+    // Leader 0 and variant 1 are dead; 2 and 3 survive.
+    const Election won =
+        elect(engine.cb, 0b1100u, ElectionScope::Local, /*cause=*/0);
+    EXPECT_EQ(won.leader, 2u);
+    EXPECT_EQ(won.epoch, 1u);
+    EXPECT_EQ(engine.cb->leader_id.load(), 2u);
+    EXPECT_EQ(engine.cb->epoch.load(), 1u);
+    EXPECT_EQ(engine.cb->promotions.load(), 1u);
+}
+
+TEST(ElectionTest, FollowerOnlyVariantsAreSkipped)
+{
+    // Locally and across nodes alike.
+    for (ElectionScope scope :
+         {ElectionScope::Local, ElectionScope::CrossNode}) {
+        BareEngine engine(4, scope == ElectionScope::Local ? 0 : kNoLeader);
+        engine.followerOnly(1);
+        engine.followerOnly(2);
+        const Election won = elect(engine.cb, 0b1110u, scope, 0);
+        EXPECT_EQ(won.leader, 3u);
+        EXPECT_EQ(engine.cb->leader_id.load(), 3u);
+    }
+}
+
+TEST(ElectionTest, NoCandidateBumpsNothing)
+{
+    BareEngine engine(3, 0);
+    engine.followerOnly(1);
+    engine.followerOnly(2);
+    for (std::uint32_t live : {0b110u, 0u}) {
+        const Election won =
+            elect(engine.cb, live, ElectionScope::CrossNode, 0);
+        EXPECT_EQ(won.leader, kNoLeader);
+        EXPECT_EQ(engine.cb->leader_id.load(), 0u);
+        EXPECT_EQ(engine.cb->epoch.load(), 0u);
+        EXPECT_EQ(engine.cb->stream_generation.load(), 1u);
+        EXPECT_EQ(engine.cb->promotions.load(), 0u);
+    }
+}
+
+TEST(ElectionTest, OnlyCrossNodeElectionBumpsTheStreamGeneration)
+{
+    BareEngine local(2, 0);
+    const Election moved =
+        elect(local.cb, 0b10u, ElectionScope::Local, 0);
+    EXPECT_EQ(moved.generation, 1u);
+    EXPECT_EQ(local.cb->stream_generation.load(), 1u);
+
+    // An external-leader engine that adopted generation 4 at its
+    // handshake takes the stream over as generation 5.
+    BareEngine remote(2, kNoLeader);
+    remote.cb->stream_generation.store(4);
+    const Election took_over =
+        elect(remote.cb, 0b11u, ElectionScope::CrossNode, 0);
+    EXPECT_EQ(took_over.leader, 0u);
+    EXPECT_EQ(took_over.generation, 5u);
+    EXPECT_EQ(remote.cb->stream_generation.load(), 5u);
+    EXPECT_EQ(remote.cb->epoch.load(), 1u);
+}
+
 TEST(NvxTest, SingleVariantRunsToCompletion)
 {
     Nvx nvx(fastConfig());

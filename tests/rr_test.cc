@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <memory>
+#include <new>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -846,6 +847,89 @@ TEST(LogTest, V1RecordNamingNoTupleEndsTheValidPrefix)
     EXPECT_TRUE(log.value().truncated);
     ASSERT_EQ(log.value().records.size(), 1u);
     ::unlink(path.c_str());
+}
+
+/** Bytes of address space the calling process has mapped. */
+rlim_t
+mappedBytes()
+{
+    unsigned long pages = 0;
+    FILE *f = std::fopen("/proc/self/statm", "r");
+    if (f) {
+        if (std::fscanf(f, "%lu", &pages) != 1)
+            pages = 0;
+        std::fclose(f);
+    }
+    return static_cast<rlim_t>(pages) *
+           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(LogTest, OversizedPayloadEndsTheValidPrefix)
+{
+    // A record claiming ~4 GiB of payload in a file of a few hundred
+    // bytes, in both record layouts. The reader runs in a child whose
+    // address space may grow by 256 MiB only, so a reader that sizes
+    // its buffer from the claim fails there with std::bad_alloc instead
+    // of touching gigabytes of memory.
+    constexpr std::uint32_t kHugePayload = 0xFFFFFFF0u;
+    std::vector<std::string> paths;
+    {
+        std::vector<std::uint8_t> bytes;
+        appendRecord(bytes, 0, getpidEvent(1), nullptr, 0);
+        RecordHeader huge = {};
+        huge.event = getpidEvent(2);
+        huge.payload_size = kHugePayload;
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&huge);
+        bytes.insert(bytes.end(), p, p + sizeof(huge));
+        paths.push_back(writeLog(kLogVersion, bytes));
+    }
+    {
+        RecordHeaderV1 good = {};
+        good.event = getpidEvent(1);
+        RecordHeaderV1 huge = {};
+        huge.event = getpidEvent(2);
+        huge.payload_size = kHugePayload;
+        std::vector<std::uint8_t> bytes(
+            reinterpret_cast<const std::uint8_t *>(&good),
+            reinterpret_cast<const std::uint8_t *>(&good + 1));
+        bytes.insert(bytes.end(),
+                     reinterpret_cast<const std::uint8_t *>(&huge),
+                     reinterpret_cast<const std::uint8_t *>(&huge + 1));
+        paths.push_back(writeLog(1, bytes));
+    }
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const rlim_t cap = mappedBytes() + (rlim_t{256} << 20);
+        const struct rlimit limit = {cap, cap};
+        if (::setrlimit(RLIMIT_AS, &limit) != 0)
+            ::_exit(2);
+        try {
+            for (const std::string &path : paths) {
+                LogReader reader;
+                LogRecord rec;
+                if (!reader.open(path).isOk())
+                    ::_exit(3);
+                if (reader.next(&rec) != LogReader::Next::Record ||
+                    rec.event.timestamp != 1) {
+                    ::_exit(4);
+                }
+                if (reader.next(&rec) != LogReader::Next::Truncated)
+                    ::_exit(5);
+            }
+        } catch (const std::bad_alloc &) {
+            ::_exit(6);
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status)) << "child died by signal "
+                                   << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    for (const std::string &path : paths)
+        ::unlink(path.c_str());
 }
 
 TEST(ReplayTest, ForkNamingNoTupleIsAProtocolError)
